@@ -41,6 +41,7 @@ WARMUP_STEPS = 3         # first steps of every training call, not timed
 MIN_ROUNDS = 5           # prediction rounds, even when the seconds are used up
 REPORT_PASSES = 3        # report passes (all groups) per prediction pass
 PASS_PROBE = {"predict": "memory", "report": "python"}
+SETUP_PROBES = 3         # steps probes right after set-up; their median scales setup_s
 GROUPS = ("all", "source", "target")
 BATCHED_CHECK = 64       # inputs compared against one-sample predictions
 GRAD_COORDS = 6          # sampled coordinates per weight group
@@ -98,12 +99,12 @@ class HostProbe:
     The host is a shared VM whose speed drifts by up to 2x over tens of
     seconds, and not by the same factor for all kinds of work. So there is
     one probe per kind of work the timed operations do: ``steps`` (small
-    batched kernels under a Python loop) for training steps, ``memory`` (a
-    softmax over a few MB) for prediction passes, and ``python`` (building
-    dicts of strings and tuples) for the metrics layer. ``scale`` converts a
-    time to what it would have been with the probe at its reference time.
-    Each probe runs once untimed first, so it starts from warm caches
-    whatever the program did before it.
+    batched kernels under a Python loop) for training steps and set-up,
+    ``memory`` (a softmax over a few MB) for prediction passes, and
+    ``python`` (building dicts of strings and tuples) for the metrics layer.
+    ``scale`` converts a time to what it would have been with the probe at
+    its reference time. Each probe runs once untimed first, so it starts
+    from warm caches whatever the program did before it.
     """
 
     REF_S = {"steps": 1.8e-3, "memory": 4.5e-3, "python": 1.1e-3}
@@ -365,7 +366,9 @@ class Run:
 
     def execute(self) -> None:
         self.setup()
-        self.setup_s = self.process_age()
+        self.setup_raw = self.process_age()
+        host = statistics.median(self.probe.measure("steps") for _ in range(SETUP_PROBES))
+        self.setup_s = HostProbe.scale(self.setup_raw, "steps", host)
         t_measure = perf_counter()
         self.train()
         self.predict_rounds(t_measure)
@@ -396,7 +399,7 @@ class Run:
         pairs = len(test) * sum(self.group_size(g) for g in GROUPS)
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         return {
-            "setup_s": (self.setup_s, "s"),
+            "setup_s": (self.setup_s if scaled else self.setup_raw, "s"),
             "train_samples_per_s": (self.step_rate(scaled), "samples/s"),
             "train_s": (sum(log.wall(scaled) for log in self.logs), "s"),
             "predict_samples_per_s": (len(test) / self.pass_time("predict", scaled), "samples/s"),
