@@ -28,25 +28,25 @@ SUBSETS = {
 }
 
 
-def gradient_errors(analytic, numeric, floor: float = GRAD_FLOOR) -> np.ndarray:
+def gradient_errors(analytic, numeric) -> np.ndarray:
     """Relative error per coordinate, with a floor on the denominator."""
     a = np.asarray(analytic, dtype=np.float64)
     n = np.asarray(numeric, dtype=np.float64)
-    return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), floor)
+    return np.abs(a - n) / np.maximum(np.maximum(np.abs(a), np.abs(n)), GRAD_FLOOR)
 
 
-def check_gradients(analytic, numeric, labels=None, tol: float = GRAD_TOL) -> list[str]:
-    """Tape gradients agree with central differences below ``tol``."""
+def check_gradients(analytic, numeric, labels=None) -> list[str]:
+    """Tape gradients agree with central differences below ``GRAD_TOL``."""
     err = gradient_errors(analytic, numeric)
     if err.size == 0:
         return ["gradient check sampled no coordinates"]
-    bad = np.flatnonzero(~(err < tol))
+    bad = np.flatnonzero(~(err < GRAD_TOL))
     return [f"gradient {labels[i] if labels else i}: analytic {analytic[i]:.6e} "
             f"vs central difference {numeric[i]:.6e} (rel err {err[i]:.2e})"
             for i in bad[:5]]
 
 
-def check_prob_rows(probs, tol: float = ROW_TOL) -> list[str]:
+def check_prob_rows(probs) -> list[str]:
     """Every probability is in [0, 1] and every row sums to 1."""
     p = np.asarray(probs, dtype=np.float64)
     out = []
@@ -55,7 +55,7 @@ def check_prob_rows(probs, tol: float = ROW_TOL) -> list[str]:
     if (p < 0.0).any() or (p > 1.0).any():
         out.append(f"probabilities outside [0, 1]: min {p.min():.3e}, max {p.max():.3e}")
     dev = np.abs(p.sum(axis=-1) - 1.0)
-    if dev.size and not dev.max() <= tol:
+    if dev.size and not dev.max() <= ROW_TOL:
         out.append(f"a probability row sums to 1 {dev.max():+.3e} off")
     return out
 
@@ -139,8 +139,7 @@ def reference_report(probs, gold, polarities, columns) -> dict:
     return ref
 
 
-def check_report(report: dict, reference: dict, group: str,
-                 tol: float = METRIC_TOL) -> list[str]:
+def check_report(report: dict, reference: dict, group: str) -> list[str]:
     """Every number in ``reference`` equals the program's report."""
     out = []
     for section, values in reference.items():
@@ -149,20 +148,20 @@ def check_report(report: dict, reference: dict, group: str,
             if want is None or got is None:
                 ok = want is None and got is None
             else:
-                ok = abs(got - want) <= tol
+                ok = abs(got - want) <= METRIC_TOL
             if not ok:
                 out.append(f"report[{group}] {section}.{name} = {got!r}, "
                            f"recomputed {want!r}")
     return out
 
 
-def check_close(batched, single, tol: float = ROW_TOL) -> list[str]:
-    """Batched predictions equal one-sample predictions within ``tol``."""
+def check_close(batched, single) -> list[str]:
+    """Batched predictions equal one-sample predictions within ``ROW_TOL``."""
     a, b = np.asarray(batched), np.asarray(single)
     if a.shape != b.shape:
         return [f"batched shape {a.shape} != one-sample shape {b.shape}"]
     dev = float(np.abs(a - b).max()) if a.size else 0.0
-    return [] if dev <= tol else [f"batched and one-sample predictions differ by {dev:.3e}"]
+    return [] if dev <= ROW_TOL else [f"batched and one-sample predictions differ by {dev:.3e}"]
 
 
 def check_identical(before, after, what: str) -> list[str]:

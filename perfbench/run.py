@@ -9,7 +9,9 @@ metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``.
 Failed checks and the input make-up go to standard error.
 """
 
+import ctypes
 import os
+import sys
 
 # One BLAS/OpenMP thread, set before numpy is first imported: with the
 # default thread count on a shared 2-CPU box step times spread far more.
@@ -17,13 +19,21 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
              "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
     os.environ[_var] = "1"
 
+# Fixed glibc allocator thresholds, set before numpy allocates anything.
+# With the default, dynamic ones, some processes and not others return the
+# program's large per-batch temporaries to the kernel after every predict
+# pass and fault them in again (31k minor faults a pass on tacsa-forgetting),
+# which made whole runs about 20% slower at random.
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3
+_libc = ctypes.CDLL(None)
+if not (_libc.mallopt(M_MMAP_THRESHOLD, 64 << 20) and _libc.mallopt(M_TRIM_THRESHOLD, 256 << 20)):
+    sys.exit("error: mallopt failed; the benchmark needs glibc's allocator")
+
 import argparse  # noqa: E402
 import json  # noqa: E402
 import shutil  # noqa: E402
-import sys  # noqa: E402
 import time  # noqa: E402
 
-_T_IMPORT = time.perf_counter()
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
@@ -31,13 +41,10 @@ SRC = os.path.join(ROOT, "src")
 
 def process_age() -> float:
     """Seconds since this process started, interpreter start-up included."""
-    try:
-        with open("/proc/self/stat", encoding="ascii") as fh:
-            fields = fh.read().rsplit(")", 1)[1].split()
-        started = int(fields[19]) / os.sysconf("SC_CLK_TCK")
-        return time.clock_gettime(time.CLOCK_BOOTTIME) - started
-    except (OSError, ValueError, IndexError, AttributeError):
-        return time.perf_counter() - _T_IMPORT
+    with open("/proc/self/stat", encoding="ascii") as fh:
+        fields = fh.read().rsplit(")", 1)[1].split()
+    started = int(fields[19]) / os.sysconf("SC_CLK_TCK")
+    return time.clock_gettime(time.CLOCK_BOOTTIME) - started
 
 
 def parse_args(argv):
