@@ -74,19 +74,27 @@ def masked_cross_entropy(probs, gold) -> float:
     return float(nll.sum() / p.shape[0])
 
 
-def check_valid_loss(recorded: float, recomputed: float, initial: float,
+def check_valid_loss(recorded: float, recomputed: float, logged,
                      what: str = "training") -> list[str]:
-    """The recorded best validation loss matches the recomputation and is
-    below the loss of the model the training call started from (the fresh
-    model, or for stage 2 the stage-1 model)."""
+    """The recorded best validation loss is the lowest of the validation
+    losses the training call logged after its epochs, and matches the
+    recomputation from ``predict``."""
     out = []
+    if not logged or recorded != min(logged):
+        out.append(f"{what}: recorded best_valid_loss {recorded!r} is not the lowest "
+                   f"logged validation loss {min(logged, default=None)!r}")
     if not math.isclose(recorded, recomputed, rel_tol=LOSS_RTOL, abs_tol=0.0):
         out.append(f"{what}: recorded best_valid_loss {recorded!r} != recomputed "
                    f"masked cross-entropy {recomputed!r}")
-    if not recomputed < initial:
-        out.append(f"{what}: validation loss {recomputed:.6f} is not below the "
-                   f"starting model's {initial:.6f}")
     return out
+
+
+def check_below_fresh(trained: float, fresh: float, what: str = "training") -> list[str]:
+    """Training from a fresh model lowers its validation loss."""
+    if trained < fresh:
+        return []
+    return [f"{what}: validation loss {trained:.6f} is not below the fresh "
+            f"model's {fresh:.6f}"]
 
 
 def reference_report(probs, gold, polarities, columns) -> dict:

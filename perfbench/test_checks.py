@@ -75,9 +75,11 @@ def test_masked_cross_entropy_matches_a_loop_and_the_loss_check_can_fail():
                 loop -= math.log(max(p[i, j, gold[i, j]], checks.LOG_FLOOR))
     ce = checks.masked_cross_entropy(p, gold)
     assert math.isclose(ce, loop / 6, rel_tol=1e-12)
-    assert checks.check_valid_loss(ce, ce, ce + 1.0) == []
-    assert checks.check_valid_loss(ce * (1 + 1e-6), ce, ce + 1.0)
-    assert checks.check_valid_loss(ce, ce, ce)
+    assert checks.check_valid_loss(ce, ce, [ce + 0.5, ce, ce + 0.1]) == []
+    assert checks.check_valid_loss(ce * (1 + 1e-6), ce, [ce * (1 + 1e-6)])
+    assert checks.check_valid_loss(ce, ce, [ce + 0.5, ce - 0.1])
+    assert checks.check_below_fresh(ce, ce + 1.0) == []
+    assert checks.check_below_fresh(ce, ce)
 
 
 def loop_report(p, gold, columns):

@@ -198,6 +198,18 @@ class TimedLog(list):
                     for i in range(len(self))) + HostProbe.scale(tail, "steps", last))
 
 
+def validation_losses(log: TimedLog) -> list[list[float]]:
+    """The validation losses each training call in ``log`` logged, one list
+    per call in call order; a call starts with its step 1."""
+    calls = []
+    for entry in log:
+        if entry["split"] == "train" and entry["step"] == 1:
+            calls.append([])
+        elif entry["split"] == "validation":
+            calls[-1].append(entry["loss"])
+    return calls
+
+
 def classify_intervals(log: TimedLog):
     """Indices of timed training steps and of validation passes.
 
@@ -304,23 +316,29 @@ class Run:
     def train(self) -> None:
         cfg, cfg2 = self.train_configs()
         self.phase("train")
-        self.trained = []      # (what, model, valid dataset, model it started from)
+        # (what, model, valid dataset, fresh model it started from or None,
+        #  validation losses the call logged)
+        self.trained = []
         for mode, init in self.inits.items():
             log = TimedLog(self.tracer, self.probe)
             if cfg2 is None:
                 model = catsent.training.train(self.ds["train"], self.ds["valid"], init, cfg, log)
-                self.trained.append((mode.value, model, self.ds["valid"], init))
+                calls = [(mode.value, model, self.ds["valid"], init)]
             else:
                 stage1, stage2 = catsent.training.run_incremental(
                     self.src_tr, self.src_va, self.tgt_tr, self.tgt_va, init, cfg, cfg2, log)
-                self.trained.append((f"{mode.value} stage 1", stage1, self.src_va, init))
-                self.trained.append((f"{mode.value} stage 2", stage2, self.tgt_va, stage1))
+                # train keeps the best of the epochs it ran, so stage 2 can
+                # end above the stage-1 model it started from
+                calls = [(f"{mode.value} stage 1", stage1, self.src_va, init),
+                         (f"{mode.value} stage 2", stage2, self.tgt_va, None)]
             log.end = perf_counter()
             self.logs.append(log)
+            self.trained += [call + (losses,) for call, losses
+                             in zip(calls, validation_losses(log), strict=True)]
         gc.collect()
 
     def served_models(self):
-        return [(what, model) for what, model, _, _ in self.trained]
+        return [(what, model) for what, model, *_ in self.trained]
 
     def timed_pass(self, kind: str, fn):
         """Run ``fn`` once, timed between two host probes."""
@@ -512,11 +530,12 @@ class Run:
             f += checks.check_sampled([s.id for s in self.tgt_tr.samples],
                                       [s.id for s in self.tgt_tr_all.samples], self.wl.rate)
 
-        for what, model, valid, init in self.trained:
-            # the model a training call starts from: fresh, or stage 1 for stage 2
-            f += checks.check_valid_loss(model.provenance["best_valid_loss"],
-                                         self.valid_loss(model, valid),
-                                         self.valid_loss(init, valid), what)
+        for what, model, valid, fresh, logged in self.trained:
+            loss = self.valid_loss(model, valid)
+            f += checks.check_valid_loss(model.provenance["best_valid_loss"], loss,
+                                         logged, what)
+            if fresh is not None:
+                f += checks.check_below_fresh(loss, self.valid_loss(fresh, valid), what)
 
         gold = self.gold(self.ds["test"])
         cats = self.schema.categories
