@@ -274,24 +274,10 @@ def _linear(x: NdArray, w: NdArray, b: NdArray, tape) -> NdArray:
 
 def _self_attention(x: NdArray, params, prefix: str, config: EncoderConfig,
                     key_mask: np.ndarray, tape) -> NdArray:
-    B, T, d = x.shape
-    h = config.heads
-    dh = d // h
-
-    def split_heads(t):
-        t = nx.reshape(t, (B, T, h, dh), tape)
-        return nx.transpose(t, (0, 2, 1, 3), tape)   # [B, h, T, dh]
-
-    q = split_heads(_linear(x, params[prefix + "wq"], params[prefix + "bq"], tape))
-    k = split_heads(_linear(x, params[prefix + "wk"], params[prefix + "bk"], tape))
-    v = split_heads(_linear(x, params[prefix + "wv"], params[prefix + "bv"], tape))
-
-    scores = nx.scale(nx.matmul(q, nx.transpose(k, (0, 1, 3, 2), tape), tape),
-                      1.0 / np.sqrt(dh), tape)
-    weights = nx.masked_softmax(scores, key_mask[:, None, None, :], tape)
-    ctx = nx.matmul(weights, v, tape)                # [B, h, T, dh]
-    ctx = nx.transpose(ctx, (0, 2, 1, 3), tape)
-    ctx = nx.reshape(ctx, (B, T, d), tape)
+    q = _linear(x, params[prefix + "wq"], params[prefix + "bq"], tape)
+    k = _linear(x, params[prefix + "wk"], params[prefix + "bk"], tape)
+    v = _linear(x, params[prefix + "wv"], params[prefix + "bv"], tape)
+    ctx = nx.attention(q, k, v, config.heads, key_mask, tape)
     return _linear(ctx, params[prefix + "wo"], params[prefix + "bo"], tape)
 
 

@@ -30,7 +30,7 @@ class DataError(CatsentError):
 
 
 class DivergenceError(CatsentError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, step: int, message: str | None = None):
         self.step = step

@@ -10,7 +10,7 @@ defined. L2 regularization covers all weights, excluding bias vectors.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -237,6 +237,13 @@ def _dataset_loss(model, inputs, mask, onehot, config, batch_size=64) -> float:
     return total / max(count, 1)
 
 
+def _labeled(dataset: Dataset) -> Dataset:
+    """The samples with at least one label. An absent key means unlabeled,
+    so a sample without any adds nothing to the loss (e.g. the target copy
+    of a sample that names only source categories)."""
+    return replace(dataset, samples=tuple(s for s in dataset.samples if s.labels))
+
+
 def _frozen_decoder_names(model: TrainedModel, train_ds: Dataset) -> set[str]:
     """Per-category decoder pairs for categories with no labels at all.
 
@@ -269,6 +276,9 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     """
     if train_ds.schema != init.schema or train_ds.polarities != init.polarities:
         raise ConfigurationError("dataset schema does not match model schema")
+    if train_ds.samples and not any(s.labels for s in train_ds.samples):
+        raise DataError("no training sample has a label")
+    train_ds, valid_ds = _labeled(train_ds), _labeled(valid_ds)
     model = init.clone()
     rng = np.random.default_rng(config.seed)
     drop_rng = np.random.default_rng(config.seed + 1)
@@ -304,6 +314,8 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
             if not np.isfinite(loss.item()):
                 raise DivergenceError(step)
             tape.backward(loss, params)
+            if not all(np.isfinite(p.grad).all() for p in params):
+                raise DivergenceError(step, f"non-finite gradient at step {step}")
             lr = lr_at(step, total_steps, config.learning_rate, config.warmup_ratio)
             opt.step(lr)
             step += 1
@@ -360,7 +372,7 @@ def run_incremental(source_train: Dataset, source_valid: Dataset,
     source_model = train(source_train, source_valid, init, config_src, log,
                          opt_state_out=None if fresh_optimizer else state)
     source_model.provenance["workflow"] = "incremental-stage1"
-    if len(target_train.samples) == 0:
+    if not any(s.labels for s in target_train.samples):
         incremental = source_model.clone()
     else:
         incremental = train(target_train, target_valid, source_model, config_tgt,

@@ -186,3 +186,27 @@ def test_cli_unknown_workflow_exit_code(tmp_path):
     _, cfg_path = workspace(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--workflow", "mix",
                  "--rate", "2.0"]) == 2
+
+
+def test_cli_incremental_accepts_a_record_without_target_labels(tmp_path):
+    out, cfg_path = workspace(tmp_path)
+    train_path = out / "train.jsonl"
+    lines = train_path.read_text().splitlines()
+    first = json.loads(lines[0])
+    del first["labels"]["service"]     # absent key: unlabeled
+    lines[0] = json.dumps(first)
+    train_path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(cfg_path), "--workflow", "incremental"]) == 0
+
+
+def test_cli_nonfinite_gradient_exit_code(tmp_path, monkeypatch):
+    import catsent.numerics as nx
+
+    class NanGradTape(nx.Tape):
+        def backward(self, loss, params):
+            super().backward(loss, params)
+            params[0].grad.flat[0] = float("inf")
+
+    _, cfg_path = workspace(tmp_path)
+    monkeypatch.setattr("catsent.training.Tape", NanGradTape)
+    assert main(["train", "--config", str(cfg_path), "--workflow", "plain"]) == 4

@@ -15,6 +15,7 @@ from catsent.encoder import (EncoderConfig, Vocabulary, assemble_input,
                              encoder_param_names, init_encoder_params,
                              tokenize, word_tokens)
 from catsent.errors import ConfigurationError
+from test_numerics import attention_subgraph
 
 SCHEMA = CategorySchema(("food", "service"))
 TEXTS = ["the food was great", "service terrible honestly",
@@ -159,3 +160,34 @@ def test_encoder_gradients_flow_to_embeddings():
     for tok_id in range(len(VOCAB)):
         if tok_id not in used:
             assert rows[tok_id] == 0.0
+
+
+def test_fused_attention_matches_the_subgraph_in_every_parameter_gradient(monkeypatch):
+    config = EncoderConfig(layers=2, heads=4, d=32, ff=64, max_len=32, dropout=0.0)
+    params = init_encoder_params(config, len(VOCAB), SCHEMA.n_cat + 1,
+                                 np.random.default_rng(3))
+    batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
+    assert (batch.mask == 0).any()        # padded keys are exercised
+
+    def run():
+        tape = nx.Tape()
+        st = encode_batch(batch, params, config, tape=tape)
+        loss = None
+        for state in [st.h_cls, st.H_sent, st.H_sep] + st.H_cat:
+            w = nx.NdArray(np.random.default_rng(state.data.size).normal(size=state.shape))
+            term = nx.reduce_sum(nx.mul(state, w, tape), tape=tape)
+            loss = term if loss is None else nx.add(loss, term, tape)
+        tape.backward(loss, list(params.values()))
+        return st, {n: p.grad for n, p in params.items()}, len(tape._entries)
+
+    fused_states, fused, fused_entries = run()
+    monkeypatch.setattr(nx, "attention", attention_subgraph)
+    ref_states, ref, ref_entries = run()
+    assert fused_entries == ref_entries - 12 * config.layers
+    assert np.array_equal(fused_states.H_sent.data, ref_states.H_sent.data)
+    for name in ref:
+        if name.endswith(".bk"):
+            # true gradient 0 (a key bias shifts each score row by a constant)
+            assert np.allclose(fused[name], ref[name], atol=1e-12, rtol=0), name
+        else:
+            assert np.array_equal(fused[name], ref[name]), name

@@ -242,3 +242,126 @@ def test_grad_accumulates_over_reuse():
     loss = nx.reduce_sum(nx.mul(a, a, tape), tape=tape)
     tape.backward(loss, [a])
     assert np.allclose(a.grad, [4.0], atol=1e-15, rtol=0)
+
+
+# ---------------------------------------------------------------------------
+# fused kernels against the primitive subgraphs they replace
+# ---------------------------------------------------------------------------
+
+
+def attention_subgraph(q, k, v, heads, key_mask, tape):
+    """Multi-head attention built from primitives, one tape entry per op."""
+    B, T, d = q.shape
+    dh = d // heads
+
+    def split_heads(t):
+        return nx.transpose(nx.reshape(t, (B, T, heads, dh), tape), (0, 2, 1, 3), tape)
+
+    qh, kh, vh = split_heads(q), split_heads(k), split_heads(v)
+    scores = nx.scale(nx.matmul(qh, nx.transpose(kh, (0, 1, 3, 2), tape), tape),
+                      1.0 / np.sqrt(dh), tape)
+    weights = nx.masked_softmax(scores, key_mask[:, None, None, :], tape)
+    ctx = nx.transpose(nx.matmul(weights, vh, tape), (0, 2, 1, 3), tape)
+    return nx.reshape(ctx, (B, T, d), tape)
+
+
+def padded_key_mask(B, T, rng):
+    """Sentence-style padding: a run of dead keys inside each row, [CLS] live."""
+    mask = np.ones((B, T))
+    for b in range(B):
+        n_pad = rng.integers(0, T // 3)
+        mask[b, T // 2 - n_pad:T // 2] = 0.0
+    return mask
+
+
+@pytest.mark.parametrize("T", [64, 42])
+def test_attention_matches_primitive_subgraph(T):
+    rng = np.random.default_rng(T)
+    B, heads, d = 32, 4, 32
+    mask = padded_key_mask(B, T, rng)
+    g = rng.normal(size=(B, T, d))
+    qkv = [rng.normal(size=(B, T, d)) for _ in range(3)]
+    results = []
+    for build in (nx.attention, attention_subgraph):
+        q, k, v = (nx.NdArray(a) for a in qkv)
+        tape = nx.Tape()
+        out = build(q, k, v, heads, mask, tape)
+        tape.backward(nx.reduce_sum(nx.mul(out, nx.NdArray(g), tape), tape=tape),
+                      [q, k, v])
+        results.append((out.data, q.grad, k.grad, v.grad, len(tape._entries)))
+    fused, ref = results
+    for got, want in zip(fused[:4], ref[:4]):
+        assert np.array_equal(got, want)
+    assert fused[4] == 3 and ref[4] == 15   # attention + mul + sum vs 13 + 2
+
+
+def test_attention_grad_check_with_a_fully_masked_sample():
+    mask = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 0.0]])   # sample 1: no live key
+    w = nx.NdArray(RNG.normal(size=(2, 3, 4)))
+    check_grad(lambda p, t: scalar_sum(
+        nx.mul(nx.attention(p[0], p[1], p[2], 2, mask, t), w, t), t),
+        [(2, 3, 4)] * 3)
+    out = nx.attention(*(nx.NdArray(RNG.normal(size=(2, 3, 4))) for _ in range(2)),
+                       w, 2, mask).data
+    assert np.allclose(out[1], w.data[1].mean(axis=0), atol=1e-15, rtol=0)
+
+
+def test_attention_rejects_mismatched_shapes():
+    a = nx.NdArray(np.ones((1, 3, 4)))
+    with pytest.raises(DimensionError):
+        nx.attention(a, nx.NdArray(np.ones((1, 2, 4))), a, 2, np.ones((1, 3)))
+
+
+def take_grad(a, indices, axis, g):
+    tape = nx.Tape()
+    out = nx.take(a, indices, axis, tape)
+    tape.backward(nx.reduce_sum(nx.mul(out, nx.NdArray(g), tape), tape=tape), [a])
+    return a.grad
+
+
+def test_take_backward_matches_add_at_with_repeats():
+    a = nx.NdArray(RNG.normal(size=(50, 8)))
+    idx = RNG.integers(0, 20, size=(16, 24))           # many repeats, rows unused
+    g = RNG.normal(size=(16, 24, 8))
+    want = np.zeros((50, 8))
+    np.add.at(want, idx.reshape(-1), g.reshape(-1, 8))
+    assert np.array_equal(take_grad(a, idx, 0, g), want)   # same summation order
+
+
+def test_take_backward_on_a_contiguous_span_and_scattered_columns():
+    a = nx.NdArray(RNG.normal(size=(3, 10, 4)))
+    for idx in ([4, 5, 6, 7], [2], [7, 1, 7, 3]):
+        g = RNG.normal(size=(3, len(idx), 4))
+        want = np.zeros((3, 10, 4))
+        np.add.at(np.moveaxis(want, 1, 0), idx, np.moveaxis(g, 1, 0))
+        assert np.array_equal(take_grad(a, idx, 1, g), want)
+        assert np.array_equal(take_grad(a, idx, -2, g), want)
+
+
+def masked_softmax_fallback(x, mask, g):
+    """The masked softmax and its backward with every mask applied by where."""
+    shifted = x + np.where(mask > 0, 0.0, -np.inf)
+    m = shifted.max(axis=-1, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    e = np.exp(shifted - m)
+    z = e.sum(axis=-1, keepdims=True)
+    p = np.where(z > 0, e / np.where(z > 0, z, 1.0), 1.0 / x.shape[-1])
+    gx = p * (g - (g * p).sum(axis=-1, keepdims=True))
+    return p, np.where(mask > 0, gx, 0.0)
+
+
+@pytest.mark.parametrize("dead_row", [False, True])
+def test_masked_softmax_fast_path_equals_fallback(dead_row):
+    x = RNG.normal(size=(6, 9)) * 4
+    mask = (RNG.random((6, 9)) > 0.5).astype(float)
+    mask[:, 0] = 1.0
+    if dead_row:
+        mask[3] = 0.0
+    g = RNG.normal(size=(6, 9))
+    xv = nx.NdArray(x)
+    tape = nx.Tape()
+    p = nx.masked_softmax(xv, mask, tape)
+    tape.backward(nx.reduce_sum(nx.mul(p, nx.NdArray(g), tape), tape=tape), [xv])
+    want_p, want_gx = masked_softmax_fallback(x, mask, g)
+    assert np.array_equal(p.data, want_p)
+    assert np.array_equal(xv.grad, want_gx)

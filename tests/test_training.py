@@ -7,7 +7,7 @@ import pytest
 from catsent.data import (CategorySchema, PolaritySet, Sample, SyntheticSpec,
                           make_dataset, make_synthetic, split_incremental)
 from catsent.encoder import EncoderConfig, Vocabulary
-from catsent.errors import ConfigurationError, DataError
+from catsent.errors import ConfigurationError, DataError, DivergenceError
 from catsent.heads import DecoderMode, HeadKind
 from catsent.training import (Adam, TrainConfig, batch_loss, fresh_model,
                               label_arrays, loss_from_probs, lr_at, predict,
@@ -252,3 +252,38 @@ def test_step_log_records_schedule():
     for k, rec in enumerate(steps):
         assert abs(rec["lr"] - lr_at(k, total, 1e-3, 0.5)) < 1e-15
     assert sum(r["split"] == "validation" for r in log) == 2
+
+
+def test_label_less_samples_are_dropped_not_rejected():
+    """An absent key means unlabeled: a sample with no label at all adds
+    nothing, so training with it equals training without it."""
+    ds = tiny_dataset(12)
+    va = tiny_dataset(6, seed=1)
+    blank = [Sample(f"blank-{i}", s.text, {}) for i, s in enumerate(ds.samples[:3])]
+    padded = make_dataset(list(ds.samples) + blank, SCHEMA, POL)
+    va_padded = make_dataset(list(va.samples) + blank, SCHEMA, POL)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=4, seed=7)
+    a = train(ds, va, tiny_model(), cfg)
+    b = train(padded, va_padded, tiny_model(), cfg)
+    for (_, pa), (_, pb) in zip(a.param_items(), b.param_items()):
+        assert np.array_equal(pa.data, pb.data)
+    with pytest.raises(DataError):
+        train(make_dataset(blank, SCHEMA, POL), va, tiny_model(), cfg)
+
+
+class NanGradTape(nx.Tape):
+    """A tape whose backward leaves one non-finite gradient entry."""
+
+    def backward(self, loss, params):
+        super().backward(loss, params)
+        params[0].grad.flat[0] = np.nan
+
+
+def test_nonfinite_gradient_raises_before_the_update(monkeypatch):
+    monkeypatch.setattr("catsent.training.Tape", NanGradTape)
+    init = tiny_model()
+    log = []
+    with pytest.raises(DivergenceError, match="gradient") as info:
+        train(tiny_dataset(8), tiny_dataset(4, seed=2), init,
+              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4), log)
+    assert info.value.step == 0 and log == []
