@@ -4,6 +4,7 @@ parameter arrays, version-tagged. float64 round-trips bit-exactly."""
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import asdict
 
 import numpy as np
@@ -45,7 +46,15 @@ def save_model(model: TrainedModel, path) -> None:
 
 
 def load_model(path) -> TrainedModel:
-    with np.load(path) as npz:
+    try:
+        npz = np.load(path)
+    except (OSError, ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigurationError(f"{path}: cannot read checkpoint: {exc}") from exc
+    if not isinstance(npz, np.lib.npyio.NpzFile):   # a bare .npy array
+        raise ConfigurationError(f"{path}: not a catsent checkpoint")
+    with npz:
+        if "__meta__" not in npz.files:
+            raise ConfigurationError(f"{path}: not a catsent checkpoint (no __meta__ record)")
         meta = json.loads(bytes(npz["__meta__"]).decode("utf-8"))
         if meta.get("format_version") != FORMAT_VERSION:
             raise ConfigurationError(

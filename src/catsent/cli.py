@@ -10,9 +10,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
+from time import perf_counter
 
 import numpy as np
 
@@ -27,8 +29,8 @@ from .errors import (CatsentError, ConfigurationError, DataError,
 from .experiments import forgetting_experiment, synthetic_corpus
 from .heads import DecoderMode, HeadKind
 from .metrics import compute_report
-from .training import (TrainConfig, fresh_model, predict, run_incremental,
-                       run_mix, train)
+from .training import (TrainConfig, fresh_model, predict, prepare_inputs,
+                       run_incremental, run_mix, train)
 
 
 @dataclass
@@ -50,10 +52,29 @@ class ExperimentConfig:
     training: dict = field(default_factory=dict)
     stage2: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        for section, cls in (("encoder", EncoderConfig), ("training", TrainConfig),
+                             ("stage2", TrainConfig)):
+            values = getattr(self, section)
+            if not isinstance(values, dict):
+                raise ConfigurationError(f"config field {section!r} must be an object")
+            unknown = set(values) - set(cls.__dataclass_fields__)
+            if unknown:
+                raise ConfigurationError(f"unknown {section} fields: {sorted(unknown)}")
+        if "seed" in self.training:
+            raise ConfigurationError("training.seed: the training seed is the root 'seed'")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigurationError(f"{path}: cannot read config: {exc.strerror}") from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: config must be a JSON object")
         unknown = set(raw) - set(cls.__dataclass_fields__)
         if unknown:
             raise ConfigurationError(f"unknown config fields: {sorted(unknown)}")
@@ -178,6 +199,15 @@ def _evaluate(model, test_ds, groups, threshold=0.5):
     return {g: compute_report(test_ds, probs, g, threshold).to_dict() for g in groups}
 
 
+def _machine() -> dict:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas['name']} {blas.get('version', '')}".strip()
+    except (TypeError, KeyError):   # numpy without ``mode=``, or no BLAS entry
+        blas_name = "unknown"
+    return {"nproc": os.cpu_count(), "numpy": np.__version__, "blas": blas_name}
+
+
 def cmd_train(args) -> int:
     cfg = _load_config(args)
     schema, polarities, train_ds, valid_ds, test_ds = _load_corpus(cfg)
@@ -191,35 +221,48 @@ def cmd_train(args) -> int:
     if schema.has_split:
         groups = ["all", "source", "target"]
     report = {"version": 1, "tool_version": __version__, "workflow": cfg.workflow,
-              "seed": cfg.seed, "config_fingerprint": cfg.fingerprint()}
+              "seed": cfg.seed, "config_fingerprint": cfg.fingerprint(),
+              "machine": _machine(),
+              "truncated": {tag: sum(e.dropped > 0 for e in prepare_inputs(ds, init))
+                            for tag, ds in (("train", train_ds), ("valid", valid_ds),
+                                            ("test", test_ds))}}
+    wall = {"train": 0.0, "evaluate": 0.0}
+
+    def timed(phase, fn, *fn_args):
+        t0 = perf_counter()
+        try:
+            return fn(*fn_args)
+        finally:
+            wall[phase] += perf_counter() - t0
 
     if cfg.workflow == "plain":
-        model = train(train_ds, valid_ds, init, cfg.train_config(), log)
+        model = timed("train", train, train_ds, valid_ds, init, cfg.train_config(), log)
         save_model(model, out / "model.npz")
-        report["metrics"] = _evaluate(model, test_ds, groups)
+        report["metrics"] = timed("evaluate", _evaluate, model, test_ds, groups)
     elif cfg.workflow == "mix":
         src_tr, tgt_tr = split_incremental(train_ds, schema)
         src_va, tgt_va = split_incremental(valid_ds, schema)
         mix_tr = concat_datasets(src_tr, sample_target(tgt_tr, cfg.rate, cfg.seed))
         mix_va = concat_datasets(src_va, tgt_va)
-        model = run_mix(mix_tr, mix_va, init, cfg.train_config(), log)
+        model = timed("train", run_mix, mix_tr, mix_va, init, cfg.train_config(), log)
         save_model(model, out / "model.npz")
-        report["metrics"] = _evaluate(model, test_ds, groups)
+        report["metrics"] = timed("evaluate", _evaluate, model, test_ds, groups)
     elif cfg.workflow == "incremental":
         src_tr, tgt_tr = split_incremental(train_ds, schema)
         src_va, tgt_va = split_incremental(valid_ds, schema)
         tgt_tr = sample_target(tgt_tr, cfg.rate, cfg.seed)
-        source_model, inc_model = run_incremental(
-            src_tr, src_va, tgt_tr, tgt_va, init,
+        source_model, inc_model = timed(
+            "train", run_incremental, src_tr, src_va, tgt_tr, tgt_va, init,
             cfg.train_config(), cfg.stage2_config(), log)
         save_model(source_model, out / "model.stage1.npz")
         save_model(inc_model, out / "model.npz")
         report["metrics"] = {
-            "stage1": _evaluate(source_model, test_ds, ["source", "target"]),
-            "stage2": _evaluate(inc_model, test_ds, ["source", "target"]),
+            "stage1": timed("evaluate", _evaluate, source_model, test_ds, ["source", "target"]),
+            "stage2": timed("evaluate", _evaluate, inc_model, test_ds, ["source", "target"]),
         }
     else:
         raise ConfigurationError(f"unknown workflow {cfg.workflow!r}")
+    report["wall_s"] = wall
 
     with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
         for rec in log:

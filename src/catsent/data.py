@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ConfigurationError, SchemaError
+from .errors import ConfigurationError, DataError, SchemaError
 
 ACSA_POLARITIES = ["positive", "neutral", "negative", "conflict", "none"]
 TACSA_POLARITIES = ["positive", "negative", "none"]
@@ -134,20 +134,37 @@ def make_dataset(samples, schema, polarities, split_tag="train") -> Dataset:
 # ---------------------------------------------------------------------------
 
 
+def _open_data(path):
+    try:
+        return open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read: {exc.strerror}") from exc
+
+
+def _parse_record(line: str, where: str) -> Sample:
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict):
+        raise SchemaError(f"{where}: a record must be a JSON object")
+    for key in ("id", "text", "labels"):
+        if key not in rec:
+            raise SchemaError(f"{where}: record has no {key!r} field")
+    if not isinstance(rec["text"], str) or not isinstance(rec["labels"], dict):
+        raise SchemaError(f"{where}: 'text' must be a string and 'labels' an object")
+    return Sample(str(rec["id"]), rec["text"], dict(rec["labels"]))
+
+
 def load_dataset(path, schema: CategorySchema, polarities: PolaritySet,
                  split_tag: str = "train") -> Dataset:
     """Read one-sample-per-line JSON; absent label keys stay absent."""
     samples = []
-    with open(path, encoding="utf-8") as fh:
+    with _open_data(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise SchemaError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            samples.append(Sample(str(rec["id"]), rec["text"], dict(rec["labels"])))
+            if line:
+                samples.append(_parse_record(line, f"{path}:{lineno}"))
     return make_dataset(samples, schema, polarities, split_tag)
 
 
@@ -159,8 +176,13 @@ def save_dataset(dataset: Dataset, path) -> None:
 
 
 def load_schema(path) -> tuple[CategorySchema, PolaritySet]:
-    with open(path, encoding="utf-8") as fh:
-        rec = json.load(fh)
+    with _open_data(path) as fh:
+        try:
+            rec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    if not isinstance(rec, dict) or "categories" not in rec or "polarities" not in rec:
+        raise SchemaError(f"{path}: a schema is an object with 'categories' and 'polarities'")
     schema = CategorySchema(tuple(rec["categories"]),
                             tuple(rec.get("source_categories", ())),
                             tuple(rec.get("target_categories", ())))

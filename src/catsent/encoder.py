@@ -70,7 +70,9 @@ def word_tokens(text: str) -> list[str]:
 
 
 def tokenize(text: str, vocab: Vocabulary) -> list[int]:
-    return [vocab.id(w) for w in word_tokens(text)]
+    ids = vocab.token_to_id
+    unk = ids[UNK]
+    return [ids.get(w, unk) for w in word_tokens(text)]
 
 
 @dataclass(frozen=True)
@@ -83,6 +85,7 @@ class EncodedInput:
     sep_positions: list[int]             # the [SEP] after each category
     cat_spans: list[tuple[int, int]]
     n_cat: int
+    dropped: int                         # sentence tokens cut to fit max_len
 
 
 def category_token_ids(schema: CategorySchema, vocab: Vocabulary) -> list[list[int]]:
@@ -90,12 +93,16 @@ def category_token_ids(schema: CategorySchema, vocab: Vocabulary) -> list[list[i
 
 
 def assemble_input(sentence_ids: list[int], schema: CategorySchema,
-                   vocab: Vocabulary, max_len: int) -> EncodedInput:
+                   vocab: Vocabulary, max_len: int,
+                   cat_ids: list[list[int]] | None = None) -> EncodedInput:
     """Build the [CLS] sentence [SEP] cat1 [SEP] ... layout.
 
     The sentence is right-truncated to fit; category names never are.
+    ``cat_ids`` are ``category_token_ids(schema, vocab)``, passed in when
+    many sentences are assembled over one schema.
     """
-    cat_ids = category_token_ids(schema, vocab)
+    if cat_ids is None:
+        cat_ids = category_token_ids(schema, vocab)
     fixed = 2 + sum(len(c) + 1 for c in cat_ids)  # CLS + sent-SEP + cats
     if fixed >= max_len:
         raise ConfigurationError(
@@ -121,6 +128,7 @@ def assemble_input(sentence_ids: list[int], schema: CategorySchema,
         sep_positions=sep_positions,
         cat_spans=cat_spans,
         n_cat=schema.n_cat,
+        dropped=len(sentence_ids) - len(sent),
     )
 
 

@@ -10,15 +10,18 @@ defined. L2 regularization covers all weights, excluding bias vectors.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
 from . import numerics as nx
 from .data import CategorySchema, Dataset, PolaritySet
 from .encoder import (BatchEncoding, EncodedInput, EncoderConfig, Vocabulary,
-                      assemble_input, batch_inputs, encode_batch,
-                      encoder_param_names, init_encoder_params, tokenize)
+                      assemble_input, batch_inputs, category_token_ids,
+                      encode_batch, encoder_param_names, init_encoder_params,
+                      tokenize)
 from .errors import ConfigurationError, DataError, DivergenceError
 from .heads import (DecoderMode, DecoderParams, HeadKind, head_probs,
                     init_decoder_params)
@@ -97,10 +100,17 @@ def fresh_model(schema: CategorySchema, polarities: PolaritySet, vocab: Vocabula
 # ---------------------------------------------------------------------------
 
 
+def _assemble(samples, model: TrainedModel) -> list[EncodedInput]:
+    """Encoder inputs of ``samples``, in their order; the category names
+    are tokenized once for all of them."""
+    vocab, max_len = model.vocab, model.encoder_config.max_len
+    cat_ids = category_token_ids(model.schema, vocab)
+    return [assemble_input(tokenize(s.text, vocab), model.schema, vocab, max_len, cat_ids)
+            for s in samples]
+
+
 def prepare_inputs(dataset: Dataset, model: TrainedModel) -> list[EncodedInput]:
-    return [assemble_input(tokenize(s.text, model.vocab), dataset.schema,
-                           model.vocab, model.encoder_config.max_len)
-            for s in dataset.samples]
+    return _assemble(dataset.samples, model)
 
 
 def label_arrays(samples, schema: CategorySchema,
@@ -158,10 +168,7 @@ def batch_loss(samples, model: TrainedModel, config: TrainConfig,
                tape: Tape | None = None) -> NdArray:
     """Eq.-style multi-task loss over one batch of Samples."""
     mask, onehot = label_arrays(samples, model.schema, model.polarities)
-    inputs = [assemble_input(tokenize(s.text, model.vocab), model.schema,
-                             model.vocab, model.encoder_config.max_len)
-              for s in samples]
-    batch = batch_inputs(inputs, model.vocab)
+    batch = batch_inputs(_assemble(samples, model), model.vocab)
     probs = forward_probs(model, batch, train_mode, rng, tape)
     return loss_from_probs(probs, mask, onehot, model, config.l2_lambda, tape)
 
@@ -225,16 +232,13 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _dataset_loss(model, inputs, mask, onehot, config, batch_size=64) -> float:
-    total, count = 0.0, 0
-    for i in range(0, len(inputs), batch_size):
-        sl = slice(i, i + batch_size)
-        batch = batch_inputs(inputs[sl], model.vocab)
-        probs = forward_probs(model, batch, False, None, None)
-        part = loss_from_probs(probs, mask[sl], onehot[sl], model, 0.0, None)
-        total += part.item() * len(inputs[sl])
-        count += len(inputs[sl])
-    return total / max(count, 1)
+def _valid_loss(model, inputs, mask, onehot) -> float:
+    """Masked cross-entropy of the eval-loop probabilities, averaged over
+    samples; 0 for an empty set."""
+    if not inputs:
+        return 0.0
+    probs = NdArray(_predict_inputs(model, inputs))
+    return loss_from_probs(probs, mask, onehot, model, 0.0, None).item()
 
 
 def _labeled(dataset: Dataset) -> Dataset:
@@ -306,6 +310,7 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     step = 0
     for epoch in range(config.epochs):
         for idx in _epoch_batches(n, config.batch_size, rng):
+            t0 = perf_counter()
             tape = Tape()
             batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
             probs = forward_probs(model, batch, True, drop_rng, tape)
@@ -314,15 +319,21 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
             if not np.isfinite(loss.item()):
                 raise DivergenceError(step)
             tape.backward(loss, params)
-            if not all(np.isfinite(p.grad).all() for p in params):
+            # One sweep for the norm and the check: a non-finite entry makes
+            # the sum of squares non-finite. So can finite entries above ~1e154;
+            # only then are the entries themselves looked at.
+            grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params)
+            if not math.isfinite(grad_sq) and not all(np.isfinite(p.grad).all()
+                                                      for p in params):
                 raise DivergenceError(step, f"non-finite gradient at step {step}")
             lr = lr_at(step, total_steps, config.learning_rate, config.warmup_ratio)
             opt.step(lr)
             step += 1
             if log is not None:
                 log.append({"step": step, "lr": lr, "loss": loss.item(),
-                            "split": "train"})
-        val = _dataset_loss(model, va_inputs, va_mask, va_onehot, config)
+                            "split": "train", "grad_norm": math.sqrt(grad_sq),
+                            "ms": (perf_counter() - t0) * 1e3})
+        val = _valid_loss(model, va_inputs, va_mask, va_onehot)
         if log is not None:
             log.append({"step": step, "lr": None, "loss": val, "split": "validation"})
         if val < best_loss:
@@ -386,12 +397,23 @@ def predict(model: TrainedModel, dataset: Dataset, batch_size: int = 64) -> np.n
     """[N, n_cat, s] probabilities, dropout disabled, deterministic."""
     if dataset.schema != model.schema or dataset.polarities != model.polarities:
         raise ConfigurationError("dataset schema does not match model schema")
-    inputs = prepare_inputs(dataset, model)
+    return _predict_inputs(model, prepare_inputs(dataset, model), batch_size)
+
+
+def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput],
+                    batch_size: int = 64) -> np.ndarray:
+    """The eval loop: [N, n_cat, s] probabilities of prepared inputs, rows
+    in input order.
+
+    Batches are cut from the inputs stably sorted by kept sentence width, so
+    each batch pads its sentences to a width close to their own.
+    """
+    order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))
     for i in range(0, len(inputs), batch_size):
-        batch = batch_inputs(inputs[i:i + batch_size], model.vocab)
-        probs = forward_probs(model, batch, False, None, None)
-        out[i:i + batch.token_ids.shape[0]] = probs.data
+        idx = order[i:i + batch_size]
+        batch = batch_inputs([inputs[j] for j in idx], model.vocab)
+        out[idx] = forward_probs(model, batch, False, None, None).data
     return out
 
 

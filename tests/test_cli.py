@@ -2,9 +2,15 @@
 end on small fixtures in temporary directories."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import catsent
 from catsent.cli import ExperimentConfig, main
 from catsent.convert import convert_semeval14, convert_sentihood
 from catsent.data import load_dataset, load_schema
@@ -210,3 +216,88 @@ def test_cli_nonfinite_gradient_exit_code(tmp_path, monkeypatch):
     _, cfg_path = workspace(tmp_path)
     monkeypatch.setattr("catsent.training.Tape", NanGradTape)
     assert main(["train", "--config", str(cfg_path), "--workflow", "plain"]) == 4
+
+
+def run_cli(*argv):
+    """The CLI in a fresh interpreter, as a user runs it."""
+    src = str(Path(catsent.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "catsent.cli", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=300)
+
+
+def assert_exit(proc, code, *needles):
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for needle in needles:
+        assert needle in proc.stderr
+
+
+@pytest.mark.parametrize("section,key", [("encoder", "layerz"), ("training", "lr"),
+                                         ("stage2", "epoch")])
+def test_cli_unknown_section_key_exits_2(tmp_path, section, key):
+    _, cfg_path = workspace(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw[section][key] = 1
+    cfg_path.write_text(json.dumps(raw))
+    assert_exit(run_cli("train", "--config", cfg_path, "--workflow", "incremental"),
+                2, key)
+
+
+@pytest.mark.parametrize("field_name", ["train", "schema"])
+def test_cli_missing_data_file_exits_3(tmp_path, field_name):
+    _, cfg_path = workspace(tmp_path)
+    raw = json.loads(cfg_path.read_text())
+    raw[field_name] = str(tmp_path / "absent.jsonl")
+    cfg_path.write_text(json.dumps(raw))
+    assert_exit(run_cli("train", "--config", cfg_path), 3, "absent.jsonl")
+
+
+@pytest.mark.parametrize("key", ["text", "id", "labels"])
+def test_cli_record_without_a_field_exits_3_naming_the_line(tmp_path, key):
+    out, cfg_path = workspace(tmp_path)
+    train_path = out / "train.jsonl"
+    lines = train_path.read_text().splitlines()
+    rec = json.loads(lines[2])
+    del rec[key]
+    lines[2] = json.dumps(rec)
+    train_path.write_text("\n".join(lines) + "\n")
+    assert_exit(run_cli("train", "--config", cfg_path), 3, f"{train_path}:3", repr(key))
+
+
+def test_cli_missing_checkpoint_exits_2(tmp_path):
+    out, _ = workspace(tmp_path)
+    assert_exit(run_cli("eval", "--checkpoint", tmp_path / "absent.npz",
+                        "--dataset", out / "test.jsonl"), 2, "absent.npz")
+
+
+def test_cli_checkpoint_without_meta_exits_2(tmp_path):
+    out, _ = workspace(tmp_path)
+    path = tmp_path / "foreign.npz"
+    np.savez(path, weights=np.zeros(3))
+    assert_exit(run_cli("eval", "--checkpoint", path, "--dataset", out / "test.jsonl"),
+                2, "__meta__")
+
+
+def test_cli_train_logs_step_time_grad_norm_and_run_facts(tmp_path):
+    out, cfg_path = workspace(tmp_path)
+    train_path = out / "train.jsonl"
+    lines = train_path.read_text().splitlines()
+    rec = json.loads(lines[0])
+    rec["text"] = " ".join(["food great"] * 40)   # 80 tokens, max_len is 32
+    lines[0] = json.dumps(rec)
+    train_path.write_text("\n".join(lines) + "\n")
+    assert main(["train", "--config", str(cfg_path), "--workflow", "plain"]) == 0
+    run = tmp_path / "run"
+    rows = [json.loads(x) for x in (run / "steps.jsonl").read_text().splitlines()]
+    steps = [r for r in rows if r["split"] == "train"]
+    assert steps and all(r["ms"] > 0 and np.isfinite(r["grad_norm"]) and r["grad_norm"] > 0
+                         for r in steps)
+    assert all("ms" not in r for r in rows if r["split"] == "validation")
+    report = json.loads((run / "report.json").read_text())
+    assert report["truncated"] == {"train": 1, "valid": 0, "test": 0}
+    assert set(report["wall_s"]) == {"train", "evaluate"}
+    assert all(v > 0 for v in report["wall_s"].values())
+    assert report["machine"]["numpy"] == np.__version__
+    assert report["machine"]["nproc"] >= 1 and report["machine"]["blas"]

@@ -1,17 +1,20 @@
 """Loss oracles, schedule pointwise checks, masked-label invariance, and
 workflow behavior on tiny datasets."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from catsent.data import (CategorySchema, PolaritySet, Sample, SyntheticSpec,
                           make_dataset, make_synthetic, split_incremental)
-from catsent.encoder import EncoderConfig, Vocabulary
+from catsent.encoder import EncoderConfig, Vocabulary, batch_inputs
 from catsent.errors import ConfigurationError, DataError, DivergenceError
 from catsent.heads import DecoderMode, HeadKind
-from catsent.training import (Adam, TrainConfig, batch_loss, fresh_model,
-                              label_arrays, loss_from_probs, lr_at, predict,
-                              run_incremental, run_mix, train)
+from catsent.training import (Adam, TrainConfig, batch_loss, forward_probs,
+                              fresh_model, label_arrays, loss_from_probs, lr_at,
+                              predict, prepare_inputs, run_incremental, run_mix,
+                              train)
 import catsent.numerics as nx
 from catsent.numerics import NdArray
 
@@ -239,6 +242,98 @@ def test_predict_shape_and_determinism():
     assert a.shape == (6, SCHEMA.n_cat, POL.size)
     assert np.allclose(a.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
     assert np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+def mixed_length_dataset(n=37, seed=5):
+    """Synthetic samples padded with 0-9 extra distractor pairs: 3-25 tokens."""
+    rng = np.random.default_rng(seed)
+    base = tiny_dataset(n, seed)
+    samples = [replace(s, text=" ".join([s.text] + ["the place"] * int(rng.integers(0, 10))))
+               for s in base.samples]
+    return replace(base, samples=tuple(samples))
+
+
+def sharp_model(seed=0, head=HeadKind.SEP_SENT_ATT, mode=DecoderMode.UNSHARED):
+    """A model whose outputs are far from uniform, so row mix-ups show."""
+    model = tiny_model(mode, seed, head)
+    rng = np.random.default_rng(seed + 100)
+    for p in model.params():
+        p.data = rng.normal(0.0, 0.5, size=p.data.shape)
+    return model
+
+
+def input_order_probs(model, ds, batch_size):
+    """Reference eval loop: batches cut in input order, no sorting."""
+    inputs = prepare_inputs(ds, model)
+    return np.concatenate([
+        forward_probs(model, batch_inputs(inputs[i:i + batch_size], model.vocab),
+                      False, None, None).data
+        for i in range(0, len(inputs), batch_size)])
+
+
+def test_predict_matches_the_input_order_loop_on_mixed_lengths():
+    ds, model = mixed_length_dataset(), sharp_model()
+    lengths = {len(s.text.split()) for s in ds.samples}
+    assert max(lengths) - min(lengths) >= 10
+    got = predict(model, ds, batch_size=8)
+    want = input_order_probs(model, ds, 8)
+    assert np.abs(got - want).max() <= 1e-12
+    assert np.abs(want - want.mean(axis=0)).max() > 1e-2     # rows differ
+    assert np.array_equal(got, predict(model, ds, batch_size=8))
+    assert np.abs(predict(model, ds, batch_size=1) - want).max() <= 1e-12
+
+
+def test_predict_rows_follow_a_permuted_dataset():
+    ds, model = mixed_length_dataset(), sharp_model(1, HeadKind.CLS_ATT, DecoderMode.SHARED)
+    perm = np.random.default_rng(9).permutation(len(ds))
+    permuted = replace(ds, samples=tuple(ds.samples[i] for i in perm))
+    assert np.abs(predict(model, permuted, batch_size=8)
+                  - predict(model, ds, batch_size=8)[perm]).max() <= 1e-12
+
+
+def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
+    ds, model = mixed_length_dataset(), sharp_model()
+    seen = []
+
+    def recording_batch_inputs(inputs, vocab):
+        batch = batch_inputs(inputs, vocab)
+        seen.append(batch)
+        return batch
+
+    monkeypatch.setattr("catsent.training.batch_inputs", recording_batch_inputs)
+    predict(model, ds, batch_size=8)
+    assert len(seen) == 5
+    prev_widest = 0
+    for batch in seen:
+        lengths = batch.sent_mask.sum(axis=1)          # kept sentence tokens per row
+        widest = lengths.max()
+        assert widest == batch.sent_width
+        padded_rows = np.nonzero((batch.mask == 0).any(axis=1))[0]
+        assert all(lengths[r] < widest for r in padded_rows)
+        assert (batch.mask == 0).sum() == (widest - lengths).sum()
+        assert lengths.min() >= prev_widest             # batches do not overlap
+        prev_widest = widest
+
+
+def test_logged_validation_loss_is_the_masked_cross_entropy_of_predict():
+    ds = tiny_dataset(12)
+    va = mixed_length_dataset(n=21, seed=3)
+    # unlabel "service" in every other sample: the mask has to matter
+    va = replace(va, samples=tuple(
+        replace(s, labels={k: v for k, v in s.labels.items() if k == "food" or i % 2})
+        for i, s in enumerate(va.samples)))
+    log = []
+    model = train(ds, va, sharp_model(), TrainConfig(learning_rate=1e-3, epochs=1,
+                                                     batch_size=4), log)
+    (logged,) = [r["loss"] for r in log if r["split"] == "validation"]
+    probs = predict(model, va)
+    nll = 0.0
+    for b, sample in enumerate(va.samples):
+        for cat, pol in sample.labels.items():
+            p = probs[b, SCHEMA.index(cat), POL.index(pol)]
+            nll -= np.log(max(p, 1e-12))
+    assert abs(logged - nll / len(va)) <= 1e-12 * abs(logged)
+    assert model.provenance["best_valid_loss"] == logged
 
 
 def test_step_log_records_schedule():
