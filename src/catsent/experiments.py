@@ -59,17 +59,17 @@ def corpus_vocab(corpus: Corpus) -> Vocabulary:
 EXPERIMENT_ENCODER = EncoderConfig(layers=2, heads=4, d=32, ff=64,
                                    max_len=64, dropout=0.1)
 EXPERIMENT_TRAINING = TrainConfig(learning_rate=1e-3, warmup_ratio=0.25,
-                                  epochs=12, dropout=0.1, l2_lambda=1e-4,
+                                  epochs=12, l2_lambda=1e-4,
                                   batch_size=32, patience=12, seed=0)
 # gentle stage-2 fine-tune: used when the question is how much source
 # knowledge survives the target stage
 EXPERIMENT_STAGE2 = TrainConfig(learning_rate=7e-5, warmup_ratio=0.25,
-                                epochs=6, dropout=0.1, l2_lambda=0.0,
+                                epochs=6, l2_lambda=0.0,
                                 batch_size=32, patience=6, seed=0)
 # full-length stage-2 fine-tune: used when the question is how good the
 # target categories can get, source retention not at issue
 EXPERIMENT_STAGE2_FULL = TrainConfig(learning_rate=1e-3, warmup_ratio=0.25,
-                                     epochs=4, dropout=0.1, l2_lambda=1e-4,
+                                     epochs=4, l2_lambda=1e-4,
                                      batch_size=32, patience=4, seed=0)
 
 

@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .data import Dataset, PolaritySet
-from .errors import DataError
+from .errors import ConfigurationError, DataError
 
 BINARY = ("positive", "negative")
 THREE_WAY = ("positive", "neutral", "negative")
@@ -38,14 +38,43 @@ class Prediction:
     gold: str | None
 
 
-@dataclass(frozen=True)
 class PredictionSet:
-    polarities: PolaritySet
-    categories: tuple[str, ...]
-    entries: tuple[Prediction, ...]
+    """(sample, category) pairs held as flat arrays, one row per pair:
+    ``probs`` [M, s]; ``gold`` [M] polarity index, -1 where unlabeled;
+    ``cat`` [M] index into ``categories``; ``sample`` [M] index into
+    ``sample_ids``. Built from hand-made ``entries``, or from ``arrays``
+    (probs, gold, cat, sample, sample_ids) by ``build_prediction_set``."""
+
+    def __init__(self, polarities: PolaritySet, categories, entries=(), *, arrays=None):
+        self.polarities, self.categories = polarities, tuple(categories)
+        if arrays is None:
+            entries = tuple(entries)
+            try:
+                gold = [-1 if e.gold is None else polarities.index(e.gold) for e in entries]
+                cat = [self.categories.index(e.category) for e in entries]
+            except ValueError as exc:
+                raise DataError(f"prediction outside the set's labels: {exc}") from None
+            ids: dict[str, int] = {}
+            sample = [ids.setdefault(e.sample_id, len(ids)) for e in entries]
+            probs = np.array([e.probs for e in entries], dtype=np.float64)
+            arrays = (probs.reshape(len(gold), polarities.size), np.array(gold, dtype=np.intp),
+                      np.array(cat, dtype=np.intp), np.array(sample, dtype=np.intp), tuple(ids))
+        self.probs, self.gold, self.cat, self.sample, self.sample_ids = arrays
+
+    @property
+    def entries(self) -> tuple[Prediction, ...]:
+        labels = self.polarities.labels
+        return tuple(Prediction(self.sample_ids[s], self.categories[c], row,
+                                None if g < 0 else labels[g])
+                     for s, c, row, g in zip(self.sample.tolist(), self.cat.tolist(),
+                                             self.probs, self.gold.tolist()))
 
     def labeled(self) -> list[Prediction]:
         return [e for e in self.entries if e.gold is not None]
+
+    def present_score(self) -> np.ndarray:
+        """[M] extraction score 1 - p(none)."""
+        return 1.0 - self.probs[:, self.polarities.none_index]
 
 
 def build_prediction_set(dataset: Dataset, probs: np.ndarray,
@@ -63,22 +92,23 @@ def build_prediction_set(dataset: Dataset, probs: np.ndarray,
         raise DataError(f"unknown category group {group!r}")
     if not cats:
         raise DataError(f"category group {group!r} is empty")
-    entries = []
-    for i, sample in enumerate(dataset.samples):
-        for cat in cats:
-            j = schema.index(cat)
-            entries.append(Prediction(sample.id, cat, probs[i, j],
-                                      sample.labels.get(cat)))
-    return PredictionSet(dataset.polarities, tuple(cats), tuple(entries))
+    probs = np.asarray(probs, dtype=np.float64)
+    n, k, s = len(dataset), len(cats), dataset.polarities.size
+    if probs.shape != (n, schema.n_cat, s):
+        raise DataError(f"probabilities {probs.shape} do not match "
+                        f"the dataset {(n, schema.n_cat, s)}")
+    index = {label: i for i, label in enumerate(dataset.polarities.labels)}
+    gold = [[index.get(sample.labels.get(c), -1) for c in cats] for sample in dataset.samples]
+    cols = [schema.index(c) for c in cats]
+    return PredictionSet(dataset.polarities, cats, arrays=(
+        probs[:, cols, :].reshape(n * k, s), np.array(gold, dtype=np.intp).reshape(n * k),
+        np.tile(np.arange(k), n), np.repeat(np.arange(n), k),
+        tuple(sample.id for sample in dataset.samples)))
 
 
 # ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
-
-
-def not_none_score(entry: Prediction, polarities: PolaritySet) -> float:
-    return 1.0 - float(entry.probs[polarities.none_index])
 
 
 def extraction_scores(preds: PredictionSet, threshold: float = 0.5
@@ -88,32 +118,22 @@ def extraction_scores(preds: PredictionSet, threshold: float = 0.5
     Predicted present iff 1 - p(none) > threshold. Macro-F1 gives a
     category with no gold positives and no predicted positives F1 = 1.
     """
-    entries = preds.labeled()
-    if not entries:
+    labeled = preds.gold >= 0
+    if not labeled.any():
         raise DataError("extraction_scores on an empty prediction set")
-    per_cat = {c: [0, 0, 0] for c in preds.categories}   # tp, fp, fn
-    for e in entries:
-        pred = not_none_score(e, preds.polarities) > threshold
-        gold = e.gold != "none"
-        if pred and gold:
-            per_cat[e.category][0] += 1
-        elif pred and not gold:
-            per_cat[e.category][1] += 1
-        elif gold and not pred:
-            per_cat[e.category][2] += 1
-    tp = sum(v[0] for v in per_cat.values())
-    fp = sum(v[1] for v in per_cat.values())
-    fn = sum(v[2] for v in per_cat.values())
+    pred = preds.present_score()[labeled] > threshold
+    gold = preds.gold[labeled] != preds.polarities.none_index
+    cat, k = preds.cat[labeled], len(preds.categories)
+    tp_c, fp_c, fn_c = (np.bincount(cat[hit], minlength=k)
+                        for hit in (pred & gold, pred & ~gold, gold & ~pred))
+    tp, fp, fn = int(tp_c.sum()), int(fp_c.sum()), int(fn_c.sum())
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     micro = (2 * precision * recall / (precision + recall)
              if precision + recall else 0.0)
-    cat_f1 = []
-    for tpc, fpc, fnc in per_cat.values():
-        if tpc + fpc + fnc == 0:
-            cat_f1.append(1.0)   # degenerate category convention
-        else:
-            cat_f1.append(2 * tpc / (2 * tpc + fpc + fnc))
+    denom = 2 * tp_c + fp_c + fn_c
+    # degenerate category convention: nothing to find, nothing found -> 1
+    cat_f1 = np.where(denom > 0, 2 * tp_c / np.maximum(denom, 1), 1.0)
     return precision, recall, micro, float(np.mean(cat_f1))
 
 
@@ -125,59 +145,45 @@ def extraction_scores(preds: PredictionSet, threshold: float = 0.5
 def sentiment_accuracy(preds: PredictionSet, subset: SentimentSubset) -> float | None:
     """Accuracy over pairs whose gold is in the subset; argmax restricted to
     the subset's classes. None when the subset does not apply."""
-    classes = subset.value
     pol = preds.polarities
-    if any(c not in pol.labels for c in classes):
+    if any(c not in pol.labels for c in subset.value):
         return None
-    idx = [pol.index(c) for c in classes]
-    correct = total = 0
-    for e in preds.labeled():
-        if e.gold not in classes:
-            continue
-        total += 1
-        pred = classes[int(np.argmax(e.probs[idx]))]
-        if pred == e.gold:
-            correct += 1
-    if total == 0:
+    idx = np.array([pol.index(c) for c in subset.value])
+    rows = np.isin(preds.gold, idx)
+    if not rows.any():
         return None
-    return correct / total
+    pred = idx[np.argmax(preds.probs[rows][:, idx], axis=1)]
+    return int(np.count_nonzero(pred == preds.gold[rows])) / int(np.count_nonzero(rows))
+
+
+def _strict(preds: PredictionSet, wrong: np.ndarray, complete: bool, what: str) -> float:
+    """Fraction of samples with no ``wrong`` pair. Every pair needs gold and,
+    when ``complete``, every sample one pair per category."""
+    n = len(preds.sample_ids)
+    if n == 0:
+        raise DataError(f"{what} on an empty prediction set")
+    bad = np.bincount(preds.sample[preds.gold < 0], minlength=n) > 0
+    if complete:
+        bad |= np.bincount(preds.sample, minlength=n) != len(preds.categories)
+    if bad.any():
+        raise DataError(f"sample {preds.sample_ids[int(np.argmax(bad))]!r}: strict "
+                        "accuracy needs gold for every scored category")
+    failures = np.bincount(preds.sample[wrong], minlength=n)
+    return int(np.count_nonzero(failures == 0)) / n
 
 
 def strict_accuracy(preds: PredictionSet) -> float:
     """Fraction of samples with the full-argmax prediction correct for
     every scored category. Errors on partial labels."""
-    pol = preds.polarities
-    by_sample: dict[str, list[Prediction]] = {}
-    for e in preds.entries:
-        by_sample.setdefault(e.sample_id, []).append(e)
-    if not by_sample:
-        raise DataError("strict_accuracy on an empty prediction set")
-    correct = 0
-    for sid, entries in by_sample.items():
-        if len(entries) != len(preds.categories) or any(e.gold is None for e in entries):
-            raise DataError(f"sample {sid!r}: strict accuracy needs gold for "
-                            "every scored category")
-        if all(pol.labels[int(np.argmax(e.probs))] == e.gold for e in entries):
-            correct += 1
-    return correct / len(by_sample)
+    wrong = np.argmax(preds.probs, axis=1) != preds.gold
+    return _strict(preds, wrong, True, "strict_accuracy")
 
 
 def strict_extraction_accuracy(preds: PredictionSet, threshold: float = 0.5) -> float:
     """All-or-nothing per sample on the presence decision alone."""
-    by_sample: dict[str, list[Prediction]] = {}
-    for e in preds.entries:
-        by_sample.setdefault(e.sample_id, []).append(e)
-    if not by_sample:
-        raise DataError("strict_extraction_accuracy on an empty prediction set")
-    correct = 0
-    for sid, entries in by_sample.items():
-        if any(e.gold is None for e in entries):
-            raise DataError(f"sample {sid!r}: strict accuracy needs gold for "
-                            "every scored category")
-        if all((not_none_score(e, preds.polarities) > threshold) == (e.gold != "none")
-               for e in entries):
-            correct += 1
-    return correct / len(by_sample)
+    wrong = ((preds.present_score() > threshold)
+             != (preds.gold != preds.polarities.none_index))
+    return _strict(preds, wrong, False, "strict_extraction_accuracy")
 
 
 # ---------------------------------------------------------------------------
@@ -185,49 +191,41 @@ def strict_extraction_accuracy(preds: PredictionSet, threshold: float = 0.5) -> 
 # ---------------------------------------------------------------------------
 
 
+def _auc(score: np.ndarray, positive: np.ndarray) -> float | None:
+    pos, neg = np.sort(score[positive]), np.sort(score[~positive])
+    if not pos.size or not neg.size:
+        return None
+    # each pos counts the negs below it plus half its ties, summed exactly as
+    # integers: lo + (hi - lo) / 2 = (lo + hi) / 2. Sorted queries are faster.
+    lo, hi = np.searchsorted(neg, pos, "left"), np.searchsorted(neg, pos, "right")
+    return int((lo + hi).sum()) / 2 / (pos.size * neg.size)
+
+
 def auc(scores: list[tuple[float, bool]]) -> float | None:
     """ROC AUC via the rank statistic; ties contribute 1/2. None when the
     gold has a single class."""
-    pos = sorted(s for s, g in scores if g)
-    neg = sorted(s for s, g in scores if not g)
-    if not pos or not neg:
-        return None
-    # count (pos > neg) + 0.5 * (pos == neg) with two sorted passes
-    import bisect
-
-    total = 0.0
-    for p in pos:
-        lo = bisect.bisect_left(neg, p)
-        hi = bisect.bisect_right(neg, p)
-        total += lo + 0.5 * (hi - lo)
-    return total / (len(pos) * len(neg))
+    pairs = np.array(scores, dtype=np.float64).reshape(-1, 2)
+    return _auc(pairs[:, 0], pairs[:, 1] != 0)
 
 
 def extraction_auc(preds: PredictionSet) -> float | None:
-    pairs = [(not_none_score(e, preds.polarities), e.gold != "none")
-             for e in preds.labeled()]
-    return auc(pairs)
+    labeled = preds.gold >= 0
+    return _auc(preds.present_score()[labeled],
+                preds.gold[labeled] != preds.polarities.none_index)
 
 
 def sentiment_auc(preds: PredictionSet) -> float | None:
     """Pairwise-renormalized positive score, per category, macro-averaged."""
     pol = preds.polarities
     ip, ineg = pol.index("positive"), pol.index("negative")
-    per_cat = []
-    for cat in preds.categories:
-        pairs = []
-        for e in preds.labeled():
-            if e.category != cat or e.gold not in ("positive", "negative"):
-                continue
-            denom = e.probs[ip] + e.probs[ineg]
-            score = float(e.probs[ip] / denom) if denom > 0 else 0.5
-            pairs.append((score, e.gold == "positive"))
-        a = auc(pairs)
-        if a is not None:
-            per_cat.append(a)
-    if not per_cat:
-        return None
-    return float(np.mean(per_cat))
+    rows = (preds.gold == ip) | (preds.gold == ineg)
+    p_pos = preds.probs[rows, ip]
+    denom = p_pos + preds.probs[rows, ineg]
+    score = np.divide(p_pos, denom, out=np.full(denom.shape, 0.5), where=denom > 0)
+    positive, cat = preds.gold[rows] == ip, preds.cat[rows]
+    per_cat = [a for c in range(len(preds.categories))
+               if (a := _auc(score[cat == c], positive[cat == c])) is not None]
+    return float(np.mean(per_cat)) if per_cat else None
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +260,8 @@ class MetricsReport:
 
 def compute_report(dataset: Dataset, probs: np.ndarray, group: str = "all",
                    threshold: float = 0.5) -> MetricsReport:
+    if not 0.0 <= threshold <= 1.0:          # also rejects NaN
+        raise ConfigurationError(f"threshold {threshold} outside [0, 1]")
     preds = build_prediction_set(dataset, probs, group)
     precision, recall, micro, macro = extraction_scores(preds, threshold)
 

@@ -110,12 +110,6 @@ def add(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:
                    lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
-def sub(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:
-    out = NdArray(a.data - b.data)
-    return _record(tape, out, (a, b),
-                   lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
-
-
 def mul(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:
     out = NdArray(a.data * b.data)
     return _record(tape, out, (a, b),
@@ -126,11 +120,6 @@ def mul(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:
 def scale(a: NdArray, c: float, tape: Tape | None = None) -> NdArray:
     out = NdArray(a.data * c)
     return _record(tape, out, (a,), lambda g: (g * c,))
-
-
-def add_const(a: NdArray, c: np.ndarray | float, tape: Tape | None = None) -> NdArray:
-    out = NdArray(a.data + c)
-    return _record(tape, out, (a,), lambda g: (_unbroadcast(g, a.shape),))
 
 
 def matmul(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:

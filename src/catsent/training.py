@@ -33,17 +33,14 @@ class TrainConfig:
     learning_rate: float = 5e-5
     warmup_ratio: float = 0.25
     epochs: int = 10
-    dropout: float = 0.1
     l2_lambda: float = 0.01
     batch_size: int = 16
     patience: int = 3
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("warmup_ratio", "dropout"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigurationError(f"{name}={v} outside [0, 1]")
+        if not 0.0 <= self.warmup_ratio <= 1.0:
+            raise ConfigurationError(f"warmup_ratio={self.warmup_ratio} outside [0, 1]")
         if min(self.epochs, self.batch_size, self.patience) <= 0:
             raise ConfigurationError("epochs, batch_size and patience must be positive")
 

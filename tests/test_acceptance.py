@@ -197,8 +197,7 @@ def test_acceptance_4_capacity(kind):
     vocab = Vocabulary.build([s.text for s in ds.samples], SCHEMA)
     enc = EncoderConfig(layers=2, heads=4, d=64, ff=256, max_len=48, dropout=0.0)
     cfg = TrainConfig(learning_rate=3e-3, warmup_ratio=0.25, epochs=50,
-                      dropout=0.0, l2_lambda=0.0, batch_size=8, patience=50,
-                      seed=0)
+                      l2_lambda=0.0, batch_size=8, patience=50, seed=0)
     init = fresh_model(SCHEMA, POL, vocab, enc, kind, DecoderMode.UNSHARED, 0)
     t0 = time.time()
     best_acc = 0.0

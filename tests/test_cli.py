@@ -235,7 +235,7 @@ def assert_exit(proc, code, *needles):
 
 
 @pytest.mark.parametrize("section,key", [("encoder", "layerz"), ("training", "lr"),
-                                         ("stage2", "epoch")])
+                                         ("stage2", "epoch"), ("training", "dropout")])
 def test_cli_unknown_section_key_exits_2(tmp_path, section, key):
     _, cfg_path = workspace(tmp_path)
     raw = json.loads(cfg_path.read_text())
@@ -278,6 +278,15 @@ def test_cli_checkpoint_without_meta_exits_2(tmp_path):
     np.savez(path, weights=np.zeros(3))
     assert_exit(run_cli("eval", "--checkpoint", path, "--dataset", out / "test.jsonl"),
                 2, "__meta__")
+
+
+def test_cli_eval_rejects_a_bad_threshold_with_exit_2(tmp_path):
+    out, cfg_path = workspace(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--workflow", "plain"]) == 0
+    for threshold in ("nan", "-1", "2"):
+        assert_exit(run_cli("eval", "--checkpoint", tmp_path / "run" / "model.npz",
+                            "--dataset", out / "test.jsonl", "--threshold", threshold),
+                    2, "threshold")
 
 
 def test_cli_train_logs_step_time_grad_norm_and_run_facts(tmp_path):
