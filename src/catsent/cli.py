@@ -21,16 +21,16 @@ import numpy as np
 from . import __version__
 from .checkpoint import load_model, save_model
 from .convert import convert_semeval14, convert_sentihood
-from .data import (concat_datasets, load_dataset, load_schema,
-                   sample_target, save_dataset, save_schema, split_incremental)
-from .encoder import EncoderConfig, Vocabulary
+from .data import (load_dataset, load_schema, sample_target, save_dataset,
+                   save_schema, split_incremental)
+from .encoder import EncoderConfig
 from .errors import (CatsentError, ConfigurationError, DataError,
                      DivergenceError, SchemaError)
-from .experiments import forgetting_experiment, synthetic_corpus
+from .experiments import (Corpus, forgetting_experiment, run_incremental_pipeline,
+                          run_mix_pipeline, run_plain_pipeline, synthetic_corpus)
 from .heads import DecoderMode, HeadKind
-from .metrics import compute_report
-from .training import (TrainConfig, fresh_model, predict, prepare_inputs,
-                       run_incremental, run_mix, train)
+from .metrics import check_threshold, compute_report
+from .training import TrainConfig, predict, prepare_inputs
 
 
 @dataclass
@@ -61,8 +61,9 @@ class ExperimentConfig:
             unknown = set(values) - set(cls.__dataclass_fields__)
             if unknown:
                 raise ConfigurationError(f"unknown {section} fields: {sorted(unknown)}")
-        if "seed" in self.training:
-            raise ConfigurationError("training.seed: the training seed is the root 'seed'")
+            if "seed" in values:
+                raise ConfigurationError(
+                    f"{section}.seed: the training seeds derive from the root 'seed'")
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -93,13 +94,10 @@ class ExperimentConfig:
         return EncoderConfig(**self.encoder)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(seed=self.seed, **self.training)
+        return TrainConfig(**self.training)
 
     def stage2_config(self) -> TrainConfig:
-        merged = dict(self.training)
-        merged.update(self.stage2)
-        merged.setdefault("seed", self.seed + 1)
-        return TrainConfig(**merged)
+        return TrainConfig(**{**self.training, **self.stage2})
 
     def head_kind(self) -> HeadKind:
         return HeadKind(self.head)
@@ -124,12 +122,12 @@ def _load_config(args) -> ExperimentConfig:
     return _apply_overrides(cfg, args)
 
 
-def _load_corpus(cfg: ExperimentConfig):
+def _load_corpus(cfg: ExperimentConfig) -> Corpus:
     schema, polarities = load_schema(cfg.schema)
-    train_ds = load_dataset(cfg.train, schema, polarities, "train")
-    valid_ds = load_dataset(cfg.valid, schema, polarities, "validation")
-    test_ds = load_dataset(cfg.test, schema, polarities, "test")
-    return schema, polarities, train_ds, valid_ds, test_ds
+    return Corpus(schema, polarities,
+                  load_dataset(cfg.train, schema, polarities, "train"),
+                  load_dataset(cfg.valid, schema, polarities, "validation"),
+                  load_dataset(cfg.test, schema, polarities, "test"))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -172,13 +170,14 @@ def cmd_generate(args) -> int:
 
 def cmd_split(args) -> int:
     cfg = _load_config(args)
-    schema, polarities, train_ds, valid_ds, test_ds = _load_corpus(cfg)
+    corpus = _load_corpus(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = {"version": 1, "seed": cfg.seed, "rates": cfg.rates,
                 "config_fingerprint": cfg.fingerprint(), "files": {}}
-    for tag, ds in (("train", train_ds), ("valid", valid_ds), ("test", test_ds)):
-        source, target = split_incremental(ds, schema)
+    for tag, ds in (("train", corpus.train), ("valid", corpus.valid),
+                    ("test", corpus.test)):
+        source, target = split_incremental(ds, corpus.schema)
         save_dataset(source, out / f"{tag}.source.jsonl")
         save_dataset(target, out / f"{tag}.target.jsonl")
         manifest["files"][tag] = {"source": f"{tag}.source.jsonl",
@@ -194,9 +193,9 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _evaluate(model, test_ds, groups, threshold=0.5):
+def _evaluate(model, test_ds, groups):
     probs = predict(model, test_ds)
-    return {g: compute_report(test_ds, probs, g, threshold).to_dict() for g in groups}
+    return {g: compute_report(test_ds, probs, g).to_dict() for g in groups}
 
 
 def _machine() -> dict:
@@ -210,72 +209,56 @@ def _machine() -> dict:
 
 def cmd_train(args) -> int:
     cfg = _load_config(args)
-    schema, polarities, train_ds, valid_ds, test_ds = _load_corpus(cfg)
+    corpus = _load_corpus(cfg)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    vocab = Vocabulary.build([s.text for s in train_ds.samples], schema)
-    init = fresh_model(schema, polarities, vocab, cfg.encoder_config(),
-                       cfg.head_kind(), cfg.decoder_mode(), cfg.seed)
+    head, mode = cfg.head_kind(), cfg.decoder_mode()
+    enc, tr = cfg.encoder_config(), cfg.train_config()
     log: list = []
-    groups = ["all"]
-    if schema.has_split:
-        groups = ["all", "source", "target"]
+    stage1 = None
+    t0 = perf_counter()
+    if cfg.workflow == "plain":
+        model = run_plain_pipeline(corpus, head, mode, cfg.seed, enc, tr, log=log)
+    elif cfg.workflow == "mix":
+        model = run_mix_pipeline(corpus, head, mode, cfg.rate, cfg.seed, enc, tr, log=log)
+    elif cfg.workflow == "incremental":
+        stage1, model = run_incremental_pipeline(corpus, head, mode, cfg.rate, cfg.seed,
+                                                 enc, tr, cfg.stage2_config(), log=log)
+    else:
+        raise ConfigurationError(f"unknown workflow {cfg.workflow!r}")
+    wall = {"train": perf_counter() - t0}
+    save_model(model, out / "model.npz")
+    if stage1 is not None:
+        save_model(stage1, out / "model.stage1.npz")
+
+    t0 = perf_counter()
+    if stage1 is None:
+        groups = ["all", "source", "target"] if corpus.schema.has_split else ["all"]
+        metrics = _evaluate(model, corpus.test, groups)
+    else:
+        metrics = {"stage1": _evaluate(stage1, corpus.test, ["source", "target"]),
+                   "stage2": _evaluate(model, corpus.test, ["source", "target"])}
+    wall["evaluate"] = perf_counter() - t0
+
     report = {"version": 1, "tool_version": __version__, "workflow": cfg.workflow,
               "seed": cfg.seed, "config_fingerprint": cfg.fingerprint(),
               "machine": _machine(),
-              "truncated": {tag: sum(e.dropped > 0 for e in prepare_inputs(ds, init))
-                            for tag, ds in (("train", train_ds), ("valid", valid_ds),
-                                            ("test", test_ds))}}
-    wall = {"train": 0.0, "evaluate": 0.0}
-
-    def timed(phase, fn, *fn_args):
-        t0 = perf_counter()
-        try:
-            return fn(*fn_args)
-        finally:
-            wall[phase] += perf_counter() - t0
-
-    if cfg.workflow == "plain":
-        model = timed("train", train, train_ds, valid_ds, init, cfg.train_config(), log)
-        save_model(model, out / "model.npz")
-        report["metrics"] = timed("evaluate", _evaluate, model, test_ds, groups)
-    elif cfg.workflow == "mix":
-        src_tr, tgt_tr = split_incremental(train_ds, schema)
-        src_va, tgt_va = split_incremental(valid_ds, schema)
-        mix_tr = concat_datasets(src_tr, sample_target(tgt_tr, cfg.rate, cfg.seed))
-        mix_va = concat_datasets(src_va, tgt_va)
-        model = timed("train", run_mix, mix_tr, mix_va, init, cfg.train_config(), log)
-        save_model(model, out / "model.npz")
-        report["metrics"] = timed("evaluate", _evaluate, model, test_ds, groups)
-    elif cfg.workflow == "incremental":
-        src_tr, tgt_tr = split_incremental(train_ds, schema)
-        src_va, tgt_va = split_incremental(valid_ds, schema)
-        tgt_tr = sample_target(tgt_tr, cfg.rate, cfg.seed)
-        source_model, inc_model = timed(
-            "train", run_incremental, src_tr, src_va, tgt_tr, tgt_va, init,
-            cfg.train_config(), cfg.stage2_config(), log)
-        save_model(source_model, out / "model.stage1.npz")
-        save_model(inc_model, out / "model.npz")
-        report["metrics"] = {
-            "stage1": timed("evaluate", _evaluate, source_model, test_ds, ["source", "target"]),
-            "stage2": timed("evaluate", _evaluate, inc_model, test_ds, ["source", "target"]),
-        }
-    else:
-        raise ConfigurationError(f"unknown workflow {cfg.workflow!r}")
-    report["wall_s"] = wall
-
+              "truncated": {tag: sum(e.dropped > 0 for e in prepare_inputs(ds, model))
+                            for tag, ds in (("train", corpus.train), ("valid", corpus.valid),
+                                            ("test", corpus.test))},
+              "metrics": metrics, "wall_s": wall}
     with open(out / "steps.jsonl", "w", encoding="utf-8") as fh:
         for rec in log:
             fh.write(json.dumps(rec) + "\n")
     _write_json(out / "report.json", report)
-    print(json.dumps(report["metrics"], indent=2))
+    print(json.dumps(metrics, indent=2))
     return 0
 
 
 def cmd_eval(args) -> int:
+    check_threshold(args.threshold)
     model = load_model(args.checkpoint)
-    schema, polarities = model.schema, model.polarities
-    dataset = load_dataset(args.dataset, schema, polarities, "test")
+    dataset = load_dataset(args.dataset, model.schema, model.polarities, "test")
     probs = predict(model, dataset)
     report = compute_report(dataset, probs, args.group, args.threshold)
     print(report.render())
@@ -286,12 +269,8 @@ def cmd_eval(args) -> int:
 
 def cmd_forgetting(args) -> int:
     cfg = _load_config(args)
-    schema, polarities, train_ds, valid_ds, test_ds = _load_corpus(cfg)
-    from .experiments import Corpus
-
-    corpus = Corpus(schema, polarities, train_ds, valid_ds, test_ds)
     result = forgetting_experiment(
-        corpus, cfg.head_kind(), cfg.rate, cfg.seed,
+        _load_corpus(cfg), cfg.head_kind(), cfg.rate, cfg.seed,
         cfg.encoder_config(), cfg.train_config(), cfg.stage2_config())
     result["config_fingerprint"] = cfg.fingerprint()
     out = Path(cfg.out)

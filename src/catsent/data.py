@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -263,13 +263,10 @@ class SyntheticSpec:
     polarities: PolaritySet
     count: int
     mention_prob: float = 0.5          # chance a category is addressed at all
-    polarity_weights: dict[str, float] = field(default_factory=dict)
-    cues: dict[str, list[str]] = field(default_factory=dict)
-    distractors: tuple[str, ...] = tuple(_DISTRACTORS)
     n_distractors: int = 3
 
     def cue_words(self, polarity: str) -> list[str]:
-        words = self.cues.get(polarity, _DEFAULT_CUES.get(polarity))
+        words = _DEFAULT_CUES.get(polarity)
         if not words:
             raise ConfigurationError(f"no cue words configured for polarity {polarity!r}")
         return words
@@ -283,21 +280,22 @@ def make_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     """
     rng = np.random.default_rng(seed)
     sentiments = [p for p in spec.polarities.labels if p != "none"]
-    weights = np.array([spec.polarity_weights.get(p, 1.0) for p in sentiments], dtype=float)
-    weights /= weights.sum()
+    # passed as ``p`` although uniform: choice draws from the stream
+    # differently without it, and every synthetic corpus depends on the draws
+    uniform = np.full(len(sentiments), 1.0 / len(sentiments))
     samples = []
     for i in range(spec.count):
         labels, phrases = {}, []
         for cat in spec.schema.categories:
             if rng.random() < spec.mention_prob:
-                pol = sentiments[int(rng.choice(len(sentiments), p=weights))]
+                pol = sentiments[int(rng.choice(len(sentiments), p=uniform))]
                 cue = spec.cue_words(pol)[int(rng.integers(len(spec.cue_words(pol))))]
                 phrases.append(f"{cat} {cue}")
                 labels[cat] = pol
             else:
                 labels[cat] = "none"
         for _ in range(spec.n_distractors):
-            phrases.append(spec.distractors[int(rng.integers(len(spec.distractors)))])
+            phrases.append(_DISTRACTORS[int(rng.integers(len(_DISTRACTORS)))])
         order = rng.permutation(len(phrases))
         text = " ".join(phrases[j] for j in order)
         samples.append(Sample(f"syn-{i}", text, labels))

@@ -258,24 +258,6 @@ class BatchStates:
     n_cat: int
 
 
-@dataclass
-class EncoderStates:
-    """Encoder output views for a single sample."""
-
-    h_cls: NdArray               # [d]
-    H_sent: NdArray              # [L_sent, d]
-    H_sep: NdArray               # [n_cat, d]
-    H_cat: list[NdArray]         # each [L_cat_i, d]
-
-    @property
-    def n_cat(self) -> int:
-        return self.H_sep.shape[0]
-
-    @property
-    def sent_mask(self):
-        return None
-
-
 def _linear(x: NdArray, w: NdArray, b: NdArray, tape) -> NdArray:
     return nx.add(nx.matmul(x, w, tape), b, tape)
 
@@ -326,22 +308,6 @@ def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
     H_sep = nx.take(x, batch.sep_positions, 1, tape)
     H_cat = [nx.take(x, list(range(a, b)), 1, tape) for a, b in batch.cat_spans]
     return BatchStates(h_cls, H_sent, batch.sent_mask, H_sep, H_cat, batch.n_cat)
-
-
-def encode(enc_input: EncodedInput, params: dict[str, NdArray], config: EncoderConfig,
-           vocab: Vocabulary, train_mode: bool = False,
-           rng: np.random.Generator | None = None,
-           tape: Tape | None = None) -> EncoderStates:
-    """Single-sample forward; returns squeezed views."""
-    batch = batch_inputs([enc_input], vocab)
-    st = encode_batch(batch, params, config, train_mode, rng, tape)
-    d = config.d
-    return EncoderStates(
-        h_cls=nx.reshape(st.h_cls, (d,), tape),
-        H_sent=nx.reshape(st.H_sent, st.H_sent.shape[1:], tape),
-        H_sep=nx.reshape(st.H_sep, st.H_sep.shape[1:], tape),
-        H_cat=[nx.reshape(hc, hc.shape[1:], tape) for hc in st.H_cat],
-    )
 
 
 def encoder_param_names(config: EncoderConfig) -> list[str]:

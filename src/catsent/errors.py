@@ -13,10 +13,6 @@ class NumericDomainError(CatsentError):
     """NaN/Inf input or non-finite intermediate value."""
 
 
-class LabelError(CatsentError):
-    """Malformed label vector (e.g. not one-hot)."""
-
-
 class SchemaError(CatsentError):
     """Sample does not validate against the category/polarity schema."""
 

@@ -1,5 +1,10 @@
-"""Reusable experiment drivers: synthetic corpora, the forgetting
-comparison (shared vs unshared decoder), and mix-vs-incremental parity."""
+"""Reusable experiment drivers: synthetic corpora, the plain / mix /
+incremental pipelines shared by the CLI and the experiments, and the
+forgetting comparison (shared vs unshared decoder).
+
+Seeding rule: every pipeline draws its fresh model, its target sample and
+its (stage-1) training from the root ``seed``; stage 2 trains with
+``seed + 1``. The seeds in the passed TrainConfigs are ignored."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from .encoder import EncoderConfig, Vocabulary
 from .heads import DecoderMode, HeadKind
 from .metrics import build_prediction_set, extraction_scores
 from .training import (TrainConfig, TrainedModel, fresh_model, predict,
-                       run_incremental, run_mix)
+                       run_incremental, train)
 
 # Compositional location-aspect category names: every token of the target
 # category's name also occurs inside some source category name, so a model
@@ -87,6 +92,23 @@ def target_extraction_f1(model: TrainedModel, test: Dataset,
     return extraction_scores(preds, threshold)[2]
 
 
+def _fresh_model(corpus: Corpus, head: HeadKind, mode: DecoderMode, seed: int,
+                 encoder_config: EncoderConfig,
+                 vocab: Vocabulary | None) -> TrainedModel:
+    return fresh_model(corpus.schema, corpus.polarities, vocab or corpus_vocab(corpus),
+                       encoder_config, head, mode, seed)
+
+
+def run_plain_pipeline(corpus: Corpus, head: HeadKind, mode: DecoderMode, seed: int,
+                       encoder_config: EncoderConfig = EXPERIMENT_ENCODER,
+                       train_config: TrainConfig = EXPERIMENT_TRAINING,
+                       vocab: Vocabulary | None = None,
+                       log: list | None = None) -> TrainedModel:
+    """One training run on every category's labels."""
+    init = _fresh_model(corpus, head, mode, seed, encoder_config, vocab)
+    return train(corpus.train, corpus.valid, init, replace(train_config, seed=seed), log)
+
+
 def run_incremental_pipeline(corpus: Corpus, head: HeadKind, mode: DecoderMode,
                              rate: float, seed: int,
                              encoder_config: EncoderConfig = EXPERIMENT_ENCODER,
@@ -95,12 +117,10 @@ def run_incremental_pipeline(corpus: Corpus, head: HeadKind, mode: DecoderMode,
                              vocab: Vocabulary | None = None,
                              log: list | None = None):
     """split -> stage-1 source training -> stage-2 target fine-tuning."""
-    vocab = vocab or corpus_vocab(corpus)
     src_tr, tgt_tr = split_incremental(corpus.train, corpus.schema)
     src_va, tgt_va = split_incremental(corpus.valid, corpus.schema)
     tgt_tr = sample_target(tgt_tr, rate, seed)
-    init = fresh_model(corpus.schema, corpus.polarities, vocab, encoder_config,
-                       head, mode, seed)
+    init = _fresh_model(corpus, head, mode, seed, encoder_config, vocab)
     cfg_src = replace(train_config, seed=seed)
     cfg_tgt = replace(stage2_config or EXPERIMENT_STAGE2, seed=seed + 1)
     return run_incremental(src_tr, src_va, tgt_tr, tgt_va, init, cfg_src,
@@ -113,14 +133,15 @@ def run_mix_pipeline(corpus: Corpus, head: HeadKind, mode: DecoderMode,
                      train_config: TrainConfig = EXPERIMENT_TRAINING,
                      vocab: Vocabulary | None = None,
                      log: list | None = None) -> TrainedModel:
-    vocab = vocab or corpus_vocab(corpus)
+    """split -> one training run on Sample-Source plus sampled Sample-Target."""
     src_tr, tgt_tr = split_incremental(corpus.train, corpus.schema)
     src_va, tgt_va = split_incremental(corpus.valid, corpus.schema)
     mix_tr = concat_datasets(src_tr, sample_target(tgt_tr, rate, seed))
     mix_va = concat_datasets(src_va, tgt_va)
-    init = fresh_model(corpus.schema, corpus.polarities, vocab, encoder_config,
-                       head, mode, seed)
-    return run_mix(mix_tr, mix_va, init, replace(train_config, seed=seed), log)
+    init = _fresh_model(corpus, head, mode, seed, encoder_config, vocab)
+    model = train(mix_tr, mix_va, init, replace(train_config, seed=seed), log)
+    model.provenance["workflow"] = "mix"
+    return model
 
 
 def forgetting_experiment(corpus: Corpus, head: HeadKind = HeadKind.SEP_SENT_ATT,

@@ -9,9 +9,9 @@ feature h is, per head kind:
                 category token states attended by that sentence vector
 
 Head attention is an unscaled dot product with no learned projections; all
-trainable head capacity is in (W, b). Every function is shape-polymorphic:
-it accepts single-sample states ([n_cat, d] etc.) or batched states with a
-leading batch axis.
+trainable head capacity is in (W, b). The heads take the encoder's
+BatchStates; attend and classify are shape-polymorphic and accept
+single-sample tensors ([d], [L, d]) or tensors with a leading batch axis.
 """
 
 from __future__ import annotations
@@ -56,10 +56,6 @@ class DecoderParams:
         if self.mode is DecoderMode.SHARED:
             return self.W[0], self.b[0]
         return self.W[cat_index], self.b[cat_index]
-
-    @property
-    def d(self) -> int:
-        return self.W[0].shape[0]
 
     @property
     def s(self) -> int:

@@ -8,7 +8,6 @@ never as zero.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -245,9 +244,6 @@ class MetricsReport:
         return {"version": 1, "group": self.group,
                 "extraction": self.extraction, "sentiment": self.sentiment}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
-
     def render(self) -> str:
         lines = [f"group: {self.group}",
                  f"{'metric':<28}{'value':>10}"]
@@ -258,10 +254,14 @@ class MetricsReport:
         return "\n".join(lines)
 
 
-def compute_report(dataset: Dataset, probs: np.ndarray, group: str = "all",
-                   threshold: float = 0.5) -> MetricsReport:
+def check_threshold(threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:          # also rejects NaN
         raise ConfigurationError(f"threshold {threshold} outside [0, 1]")
+
+
+def compute_report(dataset: Dataset, probs: np.ndarray, group: str = "all",
+                   threshold: float = 0.5) -> MetricsReport:
+    check_threshold(threshold)
     preds = build_prediction_set(dataset, probs, group)
     precision, recall, micro, macro = extraction_scores(preds, threshold)
 

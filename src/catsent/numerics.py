@@ -12,7 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, LabelError, NumericDomainError
+from .errors import DimensionError, NumericDomainError
 
 LOG_FLOOR = 1e-12
 
@@ -43,10 +43,6 @@ class NdArray:
 
     def __repr__(self) -> str:
         return f"NdArray(shape={self.data.shape})"
-
-
-def zeros(shape) -> NdArray:
-    return NdArray(np.zeros(shape))
 
 
 class Tape:
@@ -204,18 +200,6 @@ def reduce_sum(a: NdArray, axis=None, keepdims: bool = False,
     return _record(tape, out, (a,), backward)
 
 
-def reduce_mean(a: NdArray, axis=None, keepdims: bool = False,
-                tape: Tape | None = None) -> NdArray:
-    n = a.data.size if axis is None else a.shape[axis]
-    s = reduce_sum(a, axis=axis, keepdims=keepdims, tape=tape)
-    return scale(s, 1.0 / n, tape=tape)
-
-
-def relu(a: NdArray, tape: Tape | None = None) -> NdArray:
-    out = NdArray(np.maximum(a.data, 0.0))
-    return _record(tape, out, (a,), lambda g: (g * (a.data > 0.0),))
-
-
 def gelu(a: NdArray, tape: Tape | None = None) -> NdArray:
     """Smooth gelu (tanh form); the derivative is exact for this form, so
     finite-difference checks are kink-free."""
@@ -369,24 +353,6 @@ def layer_norm(x: NdArray, gain: NdArray, bias: NdArray, eps: float = 1e-6,
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 
     return _record(tape, out, (x, gain, bias), backward)
-
-
-def cross_entropy(p: NdArray, y_onehot: NdArray, tape: Tape | None = None) -> NdArray:
-    """-y . log(p) with the log argument clamped at LOG_FLOOR."""
-    y = y_onehot.data
-    if p.shape != y.shape:
-        raise DimensionError(f"cross_entropy shapes disagree: {p.shape} vs {y.shape}")
-    hot = np.isclose(y, 1.0)
-    if hot.sum() != 1 or not np.isclose(y.sum(), 1.0):
-        raise LabelError("label vector is not one-hot")
-    clamped = np.maximum(p.data, LOG_FLOOR)
-    out = NdArray(-(y * np.log(clamped)).sum())
-
-    def backward(g):
-        gp = np.where(p.data > LOG_FLOOR, -g * y / clamped, 0.0)
-        return (gp, None)
-
-    return _record(tape, out, (p, y_onehot), backward)
 
 
 # ---------------------------------------------------------------------------

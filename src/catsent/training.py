@@ -1,5 +1,5 @@
 """Multi-task training: masked cross-entropy loss, Adam with linear
-warmup/decay, early stopping, and the plain / mix / incremental workflows.
+warmup/decay, early stopping, and the two-stage incremental workflow.
 
 The per-sample loss sums cross-entropy over the categories that are
 actually labeled in that sample; unlabeled categories contribute exactly
@@ -195,18 +195,6 @@ class Adam:
         self.m = {n: np.zeros_like(p.data) for n, p in self.named_params}
         self.v = {n: np.zeros_like(p.data) for n, p in self.named_params}
 
-    def export_state(self) -> dict:
-        return {"t": self.t,
-                "m": {n: a.copy() for n, a in self.m.items()},
-                "v": {n: a.copy() for n, a in self.v.items()}}
-
-    def load_state(self, state: dict) -> None:
-        self.t = state["t"]
-        for n, _ in self.named_params:
-            if n in state["m"]:
-                self.m[n] = state["m"][n].copy()
-                self.v[n] = state["v"][n].copy()
-
     def step(self, lr: float) -> None:
         self.t += 1
         b1, b2 = self.beta1, self.beta2
@@ -265,15 +253,11 @@ def _frozen_decoder_names(model: TrainedModel, train_ds: Dataset) -> set[str]:
 
 
 def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
-          config: TrainConfig, log: list | None = None,
-          opt_state: dict | None = None,
-          opt_state_out: dict | None = None) -> TrainedModel:
+          config: TrainConfig, log: list | None = None) -> TrainedModel:
     """Mini-batch Adam with warmup/decay and early stopping on valid loss.
 
     Returns a model carrying the best-validation-epoch parameters. Fully
-    deterministic for a fixed config seed. ``opt_state`` seeds the Adam
-    moments (for continuing a previous run); ``opt_state_out``, when given
-    a dict, receives the final moments.
+    deterministic for a fixed config seed.
     """
     if train_ds.schema != init.schema or train_ds.polarities != init.polarities:
         raise ConfigurationError("dataset schema does not match model schema")
@@ -297,8 +281,6 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     penalized = {name for name, _ in named}
     params = [p for _, p in named]
     opt = Adam(named)
-    if opt_state is not None:
-        opt.load_state(opt_state)
 
     best_loss = np.inf
     best_params = None
@@ -345,8 +327,6 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     if best_params is not None:
         for p, data in zip(params, best_params):
             p.data = data
-    if opt_state_out is not None:
-        opt_state_out.update(opt.export_state())
     model.provenance = dict(model.provenance)
     model.provenance.update({
         "train_seed": config.seed,
@@ -357,34 +337,21 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     return model
 
 
-def run_mix(mix_train: Dataset, valid: Dataset, init: TrainedModel,
-            config: TrainConfig, log: list | None = None) -> TrainedModel:
-    """Plain training on the union of Sample-Source and Sample-Target."""
-    model = train(mix_train, valid, init, config, log)
-    model.provenance["workflow"] = "mix"
-    return model
-
-
 def run_incremental(source_train: Dataset, source_valid: Dataset,
                     target_train: Dataset, target_valid: Dataset,
                     init: TrainedModel, config_src: TrainConfig,
                     config_tgt: TrainConfig,
-                    log: list | None = None,
-                    fresh_optimizer: bool = True) -> tuple[TrainedModel, TrainedModel]:
+                    log: list | None = None) -> tuple[TrainedModel, TrainedModel]:
     """Stage 1 on Sample-Source from fresh init; stage 2 fine-tunes on
-    Sample-Target. By default stage 2 gets a fresh optimizer and schedule;
-    ``fresh_optimizer=False`` carries the stage-1 Adam moments over."""
+    Sample-Target with a fresh optimizer and schedule."""
     if source_train.schema != target_train.schema:
         raise ConfigurationError("source and target stages use different schemas")
-    state: dict = {}
-    source_model = train(source_train, source_valid, init, config_src, log,
-                         opt_state_out=None if fresh_optimizer else state)
+    source_model = train(source_train, source_valid, init, config_src, log)
     source_model.provenance["workflow"] = "incremental-stage1"
     if not any(s.labels for s in target_train.samples):
         incremental = source_model.clone()
     else:
-        incremental = train(target_train, target_valid, source_model, config_tgt,
-                            log, opt_state=state if state else None)
+        incremental = train(target_train, target_valid, source_model, config_tgt, log)
     incremental.provenance["workflow"] = "incremental-stage2"
     incremental.provenance["lineage"] = "finetuned-from-stage1"
     return source_model, incremental

@@ -11,10 +11,15 @@ import numpy as np
 import pytest
 
 import catsent
+from catsent.checkpoint import load_model, save_model
 from catsent.cli import ExperimentConfig, main
 from catsent.convert import convert_semeval14, convert_sentihood
 from catsent.data import load_dataset, load_schema
+from catsent.encoder import EncoderConfig
 from catsent.errors import ConfigurationError, DataError
+from catsent.experiments import Corpus, run_incremental_pipeline, run_mix_pipeline
+from catsent.heads import DecoderMode, HeadKind
+from catsent.training import TrainConfig
 
 RESTAURANT_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <sentences>
@@ -188,6 +193,44 @@ def test_cli_train_eval_forgetting(tmp_path):
     assert "drop" in forg["shared"]
 
 
+def npz_arrays(path):
+    with np.load(path) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+@pytest.mark.parametrize("workflow", ["mix", "incremental"])
+def test_cli_train_runs_the_experiment_pipeline(tmp_path, workflow):
+    """`train` saves exactly the models the experiment pipeline returns for
+    the same corpus, configs, rate and seed: every array, metadata included."""
+    out, cfg_path = workspace(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--workflow", workflow,
+                 "--rate", "0.5"]) == 0
+    raw = json.loads(cfg_path.read_text())
+    schema, pol = load_schema(out / "schema.json")
+    corpus = Corpus(schema, pol, *(load_dataset(out / f"{tag}.jsonl", schema, pol, split)
+                                   for tag, split in (("train", "train"),
+                                                      ("valid", "validation"),
+                                                      ("test", "test"))))
+    enc, tr = EncoderConfig(**raw["encoder"]), TrainConfig(**raw["training"])
+    args = (corpus, HeadKind.SEP_SENT_ATT, DecoderMode.SHARED, 0.5, raw["seed"], enc, tr)
+    if workflow == "mix":
+        models = {"model": run_mix_pipeline(*args)}
+    else:
+        models = dict(zip(("model.stage1", "model"), run_incremental_pipeline(*args, tr)))
+    run = tmp_path / "run"
+    for name, model in models.items():
+        save_model(model, tmp_path / "want.npz")
+        got, want = npz_arrays(run / f"{name}.npz"), npz_arrays(tmp_path / "want.npz")
+        assert got.keys() == want.keys()
+        for key in want:
+            assert np.array_equal(got[key], want[key]), (name, key)
+    tags = {"mix": "mix", "incremental": "incremental-stage2"}
+    assert load_model(run / "model.npz").provenance["workflow"] == tags[workflow]
+    if workflow == "incremental":
+        assert (load_model(run / "model.stage1.npz").provenance["workflow"]
+                == "incremental-stage1")
+
+
 def test_cli_unknown_workflow_exit_code(tmp_path):
     _, cfg_path = workspace(tmp_path)
     assert main(["train", "--config", str(cfg_path), "--workflow", "mix",
@@ -235,7 +278,8 @@ def assert_exit(proc, code, *needles):
 
 
 @pytest.mark.parametrize("section,key", [("encoder", "layerz"), ("training", "lr"),
-                                         ("stage2", "epoch"), ("training", "dropout")])
+                                         ("stage2", "epoch"), ("training", "dropout"),
+                                         ("training", "seed"), ("stage2", "seed")])
 def test_cli_unknown_section_key_exits_2(tmp_path, section, key):
     _, cfg_path = workspace(tmp_path)
     raw = json.loads(cfg_path.read_text())
@@ -287,6 +331,20 @@ def test_cli_eval_rejects_a_bad_threshold_with_exit_2(tmp_path):
         assert_exit(run_cli("eval", "--checkpoint", tmp_path / "run" / "model.npz",
                             "--dataset", out / "test.jsonl", "--threshold", threshold),
                     2, "threshold")
+
+
+def test_cli_eval_rejects_a_bad_threshold_before_predicting(tmp_path, monkeypatch, capsys):
+    out, cfg_path = workspace(tmp_path)
+    assert main(["train", "--config", str(cfg_path), "--workflow", "plain"]) == 0
+
+    def predict(*args, **kwargs):
+        raise AssertionError("predict ran before the threshold was checked")
+
+    monkeypatch.setattr("catsent.cli.predict", predict)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", str(tmp_path / "run" / "model.npz"),
+                 "--dataset", str(out / "test.jsonl"), "--threshold", "nan"]) == 2
+    assert "threshold" in capsys.readouterr().err
 
 
 def test_cli_train_logs_step_time_grad_norm_and_run_facts(tmp_path):

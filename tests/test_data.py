@@ -4,6 +4,8 @@ the cue-phrase generator."""
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from catsent.data import (CategorySchema, Dataset, PolaritySet, Sample,
                           SyntheticSpec, concat_datasets, load_dataset,
@@ -95,6 +97,42 @@ def test_split_incremental_invariants():
         merged = dict(s.labels)
         merged.update(t.labels)
         assert merged == orig.labels
+
+
+CATS = ("c0", "c1", "c2", "c3", "c4")
+
+
+@st.composite
+def partitioned_datasets(draw):
+    """A dataset over a random source/target partition of CATS whose label
+    maps cover any subset of the categories, the empty one included."""
+    n_src = draw(st.integers(1, len(CATS) - 1))
+    schema = CategorySchema(CATS, CATS[:n_src], CATS[n_src:])
+    label_maps = draw(st.lists(st.dictionaries(st.sampled_from(CATS),
+                                               st.sampled_from(POL.labels)),
+                               max_size=40))
+    samples = [Sample(f"s{i}", f"text {i}", labels) for i, labels in enumerate(label_maps)]
+    return make_dataset(samples, schema, POL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partitioned_datasets(), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+def test_split_and_sample_properties(ds, rate, seed):
+    schema = ds.schema
+    source, target = split_incremental(ds, schema)
+    for orig, s, t in zip(ds.samples, source.samples, target.samples, strict=True):
+        assert (s.id, s.text) == (t.id, t.text) == (orig.id, orig.text)
+        assert set(s.labels) <= set(schema.source_categories)
+        assert set(t.labels) <= set(schema.target_categories)
+        assert not set(s.labels) & set(t.labels)
+        assert {**s.labels, **t.labels} == orig.labels
+    sampled = sample_target(target, rate, seed)
+    assert len(sampled) == math.floor(rate * len(target))
+    assert sampled.samples == sample_target(target, rate, seed).samples
+    position = {s.id: i for i, s in enumerate(target.samples)}
+    kept = [position[s.id] for s in sampled.samples]
+    assert kept == sorted(set(kept))            # distinct, in input order
+    assert all(target.samples[i] == s for i, s in zip(kept, sampled.samples))
 
 
 def test_split_requires_partition():

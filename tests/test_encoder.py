@@ -7,11 +7,13 @@ when encoded alone.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catsent.numerics as nx
 from catsent.data import CategorySchema
 from catsent.encoder import (EncoderConfig, Vocabulary, assemble_input,
-                             batch_inputs, encode, encode_batch,
+                             batch_inputs, encode_batch,
                              encoder_param_names, init_encoder_params,
                              tokenize, word_tokens)
 from catsent.errors import ConfigurationError
@@ -31,6 +33,11 @@ def make_params(seed=0):
 
 def enc_input(text):
     return assemble_input(tokenize(text, VOCAB), SCHEMA, VOCAB, CONFIG.max_len)
+
+
+def encode_one(enc, params, tape=None):
+    """The states of a one-sample batch."""
+    return encode_batch(batch_inputs([enc], VOCAB), params, CONFIG, tape=tape)
 
 
 def test_word_tokens():
@@ -95,27 +102,34 @@ def test_batch_layout_and_masks():
         assert batch.position_ids[b, tail_start] == 1 + w
 
 
-def test_pad_invariance():
-    """Batched states match single-sample states despite different padding."""
-    params = make_params()
-    inputs = [enc_input(t) for t in TEXTS]
-    batch = batch_inputs(inputs, VOCAB)
-    bs = encode_batch(batch, params, CONFIG)
-    for b, (enc, text) in enumerate(zip(inputs, TEXTS)):
-        single = encode(enc, params, CONFIG, VOCAB)
-        L = len(tokenize(text, VOCAB))
-        assert np.allclose(bs.h_cls.data[b], single.h_cls.data, atol=1e-12, rtol=0)
-        assert np.allclose(bs.H_sent.data[b, :L], single.H_sent.data,
+PARAMS = make_params()
+WORDS = sorted(VOCAB.token_to_id)[4:] + ["zebra"]      # no special tokens; one unknown
+
+
+# up to 30 words: max_len 32 leaves 26 sentence positions, so long ones truncate
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=30),
+                min_size=1, max_size=5))
+def test_pad_invariance(sentences):
+    """Each row of a batch of random-length sentences has exactly the states
+    of that sample's one-sample batch, padding notwithstanding."""
+    inputs = [enc_input(" ".join(words)) for words in sentences]
+    bs = encode_batch(batch_inputs(inputs, VOCAB), PARAMS, CONFIG)
+    for b, enc in enumerate(inputs):
+        single = encode_one(enc, PARAMS)
+        L = enc.sent_span[1] - enc.sent_span[0]
+        assert np.allclose(bs.h_cls.data[b], single.h_cls.data[0], atol=1e-12, rtol=0)
+        assert np.allclose(bs.H_sent.data[b, :L], single.H_sent.data[0],
                            atol=1e-12, rtol=0)
-        assert np.allclose(bs.H_sep.data[b], single.H_sep.data, atol=1e-12, rtol=0)
+        assert np.allclose(bs.H_sep.data[b], single.H_sep.data[0], atol=1e-12, rtol=0)
         for got, want in zip(bs.H_cat, single.H_cat):
-            assert np.allclose(got.data[b], want.data, atol=1e-12, rtol=0)
+            assert np.allclose(got.data[b], want.data[0], atol=1e-12, rtol=0)
 
 
 def test_encode_deterministic_in_eval_mode():
     params = make_params()
-    a = encode(enc_input(TEXTS[0]), params, CONFIG, VOCAB)
-    b = encode(enc_input(TEXTS[0]), params, CONFIG, VOCAB)
+    a = encode_one(enc_input(TEXTS[0]), params)
+    b = encode_one(enc_input(TEXTS[0]), params)
     assert np.array_equal(a.h_cls.data, b.h_cls.data)
 
 
@@ -149,8 +163,8 @@ def test_param_names_cover_init():
 def test_encoder_gradients_flow_to_embeddings():
     params = make_params()
     tape = nx.Tape()
-    st = encode(enc_input(TEXTS[0]), params, CONFIG, VOCAB, tape=tape)
-    loss = nx.reduce_sum(st.h_cls, tape=tape)
+    states = encode_one(enc_input(TEXTS[0]), params, tape)
+    loss = nx.reduce_sum(states.h_cls, tape=tape)
     plist = list(params.values())
     tape.backward(loss, plist)
     assert any(np.abs(p.grad).sum() > 0 for p in plist)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import catsent.numerics as nx
-from catsent.encoder import BatchStates, EncoderStates
+from catsent.encoder import BatchStates
 from catsent.errors import (ConfigurationError, DimensionError,
                             EmptySpanError)
 from catsent.heads import (DecoderMode, DecoderParams, HeadKind, attend,
@@ -30,22 +30,17 @@ def classify_oracle(h, W, b):
     return e / e.sum()
 
 
-def make_states(seed=0, batch=None):
+def batch_states(h_cls, H_sent, H_sep, H_cat):
+    """BatchStates over arrays with a leading batch axis; no padded sentences."""
+    return BatchStates(NdArray(h_cls), NdArray(H_sent), np.ones(H_sent.shape[:2]),
+                       NdArray(H_sep), [NdArray(h) for h in H_cat], NCAT)
+
+
+def make_states(seed=0, batch=1):
     rng = np.random.default_rng(seed)
-    lead = () if batch is None else (batch,)
-    H_cat = [NdArray(rng.normal(size=lead + (2 + i, D))) for i in range(NCAT)]
-    if batch is None:
-        return EncoderStates(
-            h_cls=NdArray(rng.normal(size=(D,))),
-            H_sent=NdArray(rng.normal(size=(5, D))),
-            H_sep=NdArray(rng.normal(size=(NCAT, D))),
-            H_cat=H_cat)
-    return BatchStates(
-        h_cls=NdArray(rng.normal(size=(batch, D))),
-        H_sent=NdArray(rng.normal(size=(batch, 5, D))),
-        sent_mask=np.ones((batch, 5)),
-        H_sep=NdArray(rng.normal(size=(batch, NCAT, D))),
-        H_cat=H_cat, n_cat=NCAT)
+    H_cat = [rng.normal(size=(batch, 2 + i, D)) for i in range(NCAT)]
+    return batch_states(rng.normal(size=(batch, D)), rng.normal(size=(batch, 5, D)),
+                        rng.normal(size=(batch, NCAT, D)), H_cat)
 
 
 def test_attend_matches_scalar_oracle():
@@ -111,7 +106,7 @@ def test_head_output_shape_and_rows_sum_to_one(kind):
     states = make_states()
     dec = init_decoder_params(DecoderMode.UNSHARED, NCAT, D, S, RNG)
     probs = head_probs(kind, states, dec).data
-    assert probs.shape == (NCAT, S)
+    assert probs.shape == (1, NCAT, S)
     assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-12, rtol=0)
 
 
@@ -122,30 +117,28 @@ def test_head_batched_matches_single(kind):
     out = head_probs(kind, batched, dec).data
     assert out.shape == (2, NCAT, S)
     for b in range(2):
-        single = EncoderStates(
-            h_cls=NdArray(batched.h_cls.data[b]),
-            H_sent=NdArray(batched.H_sent.data[b]),
-            H_sep=NdArray(batched.H_sep.data[b]),
-            H_cat=[NdArray(hc.data[b]) for hc in batched.H_cat])
+        one = slice(b, b + 1)
+        single = batch_states(batched.h_cls.data[one], batched.H_sent.data[one],
+                              batched.H_sep.data[one], [hc.data[one] for hc in batched.H_cat])
         want = head_probs(kind, single, dec).data
-        assert np.allclose(out[b], want, atol=1e-12, rtol=0)
+        assert np.allclose(out[b], want[0], atol=1e-12, rtol=0)
 
 
 def test_sep_head_scalar_oracle():
     states = make_states(seed=2)
     dec = init_decoder_params(DecoderMode.UNSHARED, NCAT, D, S, RNG)
-    probs = head_probs(HeadKind.SEP, states, dec).data
+    probs = head_probs(HeadKind.SEP, states, dec).data[0]
     for i in range(NCAT):
-        want = classify_oracle(states.H_sep.data[i], dec.W[i].data, dec.b[i].data)
+        want = classify_oracle(states.H_sep.data[0, i], dec.W[i].data, dec.b[i].data)
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
 
 def test_cls_att_head_scalar_oracle():
     states = make_states(seed=3)
     dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
-    probs = head_probs(HeadKind.CLS_ATT, states, dec).data
+    probs = head_probs(HeadKind.CLS_ATT, states, dec).data[0]
     for i in range(NCAT):
-        e_cat = attend_oracle(states.h_cls.data, states.H_cat[i].data)
+        e_cat = attend_oracle(states.h_cls.data[0], states.H_cat[i].data[0])
         want = classify_oracle(e_cat, dec.W[0].data, dec.b[0].data)
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
@@ -153,10 +146,10 @@ def test_cls_att_head_scalar_oracle():
 def test_sep_sent_att_head_scalar_oracle():
     states = make_states(seed=4)
     dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
-    probs = head_probs(HeadKind.SEP_SENT_ATT, states, dec).data
+    probs = head_probs(HeadKind.SEP_SENT_ATT, states, dec).data[0]
     for i in range(NCAT):
-        h_sent = attend_oracle(states.H_sep.data[i], states.H_sent.data)
-        e_cat = attend_oracle(h_sent, states.H_cat[i].data)
+        h_sent = attend_oracle(states.H_sep.data[0, i], states.H_sent.data[0])
+        e_cat = attend_oracle(h_sent, states.H_cat[i].data[0])
         want = classify_oracle(e_cat, dec.W[0].data, dec.b[0].data)
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
@@ -165,20 +158,17 @@ def test_shared_mode_ties_weights():
     """With identical features every category gets identical shared probs."""
     rng = np.random.default_rng(5)
     h = rng.normal(size=D)
-    states = EncoderStates(
-        h_cls=NdArray(h),
-        H_sent=NdArray(rng.normal(size=(4, D))),
-        H_sep=NdArray(np.tile(h, (NCAT, 1))),
-        H_cat=[NdArray(np.tile(h, (2, 1))) for _ in range(NCAT)])
+    states = batch_states(h[None], rng.normal(size=(1, 4, D)), np.tile(h, (1, NCAT, 1)),
+                          [np.tile(h, (1, 2, 1)) for _ in range(NCAT)])
     dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, rng)
-    probs = head_probs(HeadKind.SEP, states, dec).data
+    probs = head_probs(HeadKind.SEP, states, dec).data[0]
     assert np.allclose(probs, probs[0], atol=1e-15, rtol=0)
 
 
 def test_sep_sent_att_empty_sentence_rejected():
     states = make_states(seed=6)
-    states = EncoderStates(states.h_cls, NdArray(np.zeros((0, D))),
-                           states.H_sep, states.H_cat)
+    states = BatchStates(states.h_cls, NdArray(np.zeros((1, 0, D))), np.ones((1, 0)),
+                         states.H_sep, states.H_cat, NCAT)
     dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
     with pytest.raises(EmptySpanError):
         head_probs(HeadKind.SEP_SENT_ATT, states, dec)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import catsent.numerics as nx
-from catsent.errors import DimensionError, LabelError, NumericDomainError
+from catsent.errors import DimensionError, NumericDomainError
 
 RNG = np.random.default_rng(7)
 
@@ -95,18 +95,11 @@ def test_reduce_grads():
     check_grad(lambda p, t: scalar_sum(nx.reduce_sum(p[0], axis=1, tape=t), t),
                [(3, 4)])
     check_grad(lambda p, t: scalar_sum(
-        nx.reduce_mean(p[0], axis=-1, keepdims=True, tape=t), t), [(3, 4)])
+        nx.reduce_sum(p[0], axis=-1, keepdims=True, tape=t), t), [(3, 4)])
 
 
-def test_reduce_mean_forward():
-    a = RNG.normal(size=(3, 4))
-    assert np.allclose(nx.reduce_mean(nx.NdArray(a), axis=1).data,
-                       a.mean(axis=1), atol=1e-12, rtol=0)
-
-
-def test_relu_gelu_forward():
+def test_gelu_forward():
     x = np.linspace(-3, 3, 50)
-    assert np.array_equal(nx.relu(nx.NdArray(x)).data, np.maximum(x, 0))
     g = nx.gelu(nx.NdArray(x)).data
     expect = 0.5 * x * (1 + np.tanh(np.sqrt(2 / np.pi) * (x + 0.044715 * x ** 3)))
     assert np.allclose(g, expect, atol=1e-12, rtol=0)
@@ -198,31 +191,6 @@ def test_layer_norm_stats_and_grad():
     check_grad(lambda p, t: scalar_sum(
         nx.mul(nx.layer_norm(p[0], p[1], p[2], tape=t), p[3], t), t),
         [(3, 6), (6,), (6,), (3, 6)], eps=1e-6, tol=1e-5)
-
-
-def test_cross_entropy_oracle():
-    for _ in range(100):
-        p = RNG.dirichlet(np.ones(5))
-        k = RNG.integers(5)
-        y = np.zeros(5)
-        y[k] = 1.0
-        got = nx.cross_entropy(nx.NdArray(p), nx.NdArray(y)).item()
-        assert abs(got - (-np.log(max(p[k], 1e-12)))) < 1e-12
-
-
-def test_cross_entropy_rejects_bad_labels():
-    p = nx.NdArray(np.full(4, 0.25))
-    with pytest.raises(LabelError):
-        nx.cross_entropy(p, nx.NdArray(np.array([0.5, 0.5, 0.0, 0.0])))
-    with pytest.raises(DimensionError):
-        nx.cross_entropy(p, nx.NdArray(np.array([1.0, 0.0, 0.0])))
-
-
-def test_cross_entropy_grad():
-    y = np.zeros(5)
-    y[2] = 1.0
-    yv = nx.NdArray(y)
-    check_grad(lambda p, t: nx.cross_entropy(nx.softmax(p[0], t), yv, t), [(5,)])
 
 
 def test_unreachable_param_gets_zero_grad():

@@ -13,8 +13,7 @@ from catsent.errors import ConfigurationError, DataError, DivergenceError
 from catsent.heads import DecoderMode, HeadKind
 from catsent.training import (Adam, TrainConfig, batch_loss, forward_probs,
                               fresh_model, label_arrays, loss_from_probs, lr_at,
-                              predict, prepare_inputs, run_incremental, run_mix,
-                              train)
+                              predict, prepare_inputs, run_incremental, train)
 import catsent.numerics as nx
 from catsent.numerics import NdArray
 
@@ -225,13 +224,6 @@ def test_incremental_empty_target_stage():
                                      tiny_model(), cfg, cfg)
     for (_, pa), (_, pb) in zip(stage1.param_items(), stage2.param_items()):
         assert np.array_equal(pa.data, pb.data)
-
-
-def test_run_mix_tags_provenance():
-    ds = tiny_dataset(8)
-    m = run_mix(ds, tiny_dataset(4, seed=2), tiny_model(),
-                TrainConfig(learning_rate=1e-3, epochs=1, batch_size=8))
-    assert m.provenance["workflow"] == "mix"
 
 
 def test_predict_shape_and_determinism():
