@@ -100,12 +100,10 @@ def _fresh_model(corpus: Corpus, head: HeadKind, mode: DecoderMode, seed: int,
 
 
 def run_plain_pipeline(corpus: Corpus, head: HeadKind, mode: DecoderMode, seed: int,
-                       encoder_config: EncoderConfig = EXPERIMENT_ENCODER,
-                       train_config: TrainConfig = EXPERIMENT_TRAINING,
-                       vocab: Vocabulary | None = None,
+                       encoder_config: EncoderConfig, train_config: TrainConfig,
                        log: list | None = None) -> TrainedModel:
     """One training run on every category's labels."""
-    init = _fresh_model(corpus, head, mode, seed, encoder_config, vocab)
+    init = _fresh_model(corpus, head, mode, seed, encoder_config, None)
     return train(corpus.train, corpus.valid, init, replace(train_config, seed=seed), log)
 
 

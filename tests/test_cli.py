@@ -17,7 +17,8 @@ from catsent.convert import convert_semeval14, convert_sentihood
 from catsent.data import load_dataset, load_schema
 from catsent.encoder import EncoderConfig
 from catsent.errors import ConfigurationError, DataError
-from catsent.experiments import Corpus, run_incremental_pipeline, run_mix_pipeline
+from catsent.experiments import (Corpus, run_incremental_pipeline, run_mix_pipeline,
+                                 run_plain_pipeline)
 from catsent.heads import DecoderMode, HeadKind
 from catsent.training import TrainConfig
 
@@ -198,7 +199,7 @@ def npz_arrays(path):
         return {name: npz[name] for name in npz.files}
 
 
-@pytest.mark.parametrize("workflow", ["mix", "incremental"])
+@pytest.mark.parametrize("workflow", ["plain", "mix", "incremental"])
 def test_cli_train_runs_the_experiment_pipeline(tmp_path, workflow):
     """`train` saves exactly the models the experiment pipeline returns for
     the same corpus, configs, rate and seed: every array, metadata included."""
@@ -212,8 +213,11 @@ def test_cli_train_runs_the_experiment_pipeline(tmp_path, workflow):
                                                       ("valid", "validation"),
                                                       ("test", "test"))))
     enc, tr = EncoderConfig(**raw["encoder"]), TrainConfig(**raw["training"])
-    args = (corpus, HeadKind.SEP_SENT_ATT, DecoderMode.SHARED, 0.5, raw["seed"], enc, tr)
-    if workflow == "mix":
+    head, mode, seed = HeadKind.SEP_SENT_ATT, DecoderMode.SHARED, raw["seed"]
+    args = (corpus, head, mode, 0.5, seed, enc, tr)
+    if workflow == "plain":
+        models = {"model": run_plain_pipeline(corpus, head, mode, seed, enc, tr)}
+    elif workflow == "mix":
         models = {"model": run_mix_pipeline(*args)}
     else:
         models = dict(zip(("model.stage1", "model"), run_incremental_pipeline(*args, tr)))
@@ -224,8 +228,8 @@ def test_cli_train_runs_the_experiment_pipeline(tmp_path, workflow):
         assert got.keys() == want.keys()
         for key in want:
             assert np.array_equal(got[key], want[key]), (name, key)
-    tags = {"mix": "mix", "incremental": "incremental-stage2"}
-    assert load_model(run / "model.npz").provenance["workflow"] == tags[workflow]
+    tags = {"plain": None, "mix": "mix", "incremental": "incremental-stage2"}
+    assert load_model(run / "model.npz").provenance.get("workflow") == tags[workflow]
     if workflow == "incremental":
         assert (load_model(run / "model.stage1.npz").provenance["workflow"]
                 == "incremental-stage1")
