@@ -183,6 +183,10 @@ def load_schema(path) -> tuple[CategorySchema, PolaritySet]:
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(rec, dict) or "categories" not in rec or "polarities" not in rec:
         raise SchemaError(f"{path}: a schema is an object with 'categories' and 'polarities'")
+    for key in ("categories", "polarities", "source_categories", "target_categories"):
+        names = rec.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise SchemaError(f"{path}: {key!r} must be a list of strings, not {names!r}")
     schema = CategorySchema(tuple(rec["categories"]),
                             tuple(rec.get("source_categories", ())),
                             tuple(rec.get("target_categories", ())))

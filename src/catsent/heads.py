@@ -39,27 +39,19 @@ class DecoderMode(Enum):
 
 @dataclass
 class DecoderParams:
-    """Classifier (W, b) pairs: one pair (SHARED) or one per category."""
+    """The classifier rows: W [n_dec, d, s] and b [n_dec, s], with one row
+    (SHARED) or one row per category (UNSHARED)."""
 
     mode: DecoderMode
-    W: list[NdArray]             # each [d, s]
-    b: list[NdArray]             # each [s]
+    W: NdArray                   # [n_dec, d, s]
+    b: NdArray                   # [n_dec, s]
 
     def __post_init__(self):
-        n = 1 if self.mode is DecoderMode.SHARED else None
-        if n is not None and (len(self.W) != n or len(self.b) != n):
-            raise ConfigurationError("SHARED decoder must hold exactly one (W, b)")
-        if len(self.W) != len(self.b):
-            raise ConfigurationError("W/b count mismatch")
-
-    def pair(self, cat_index: int) -> tuple[NdArray, NdArray]:
-        if self.mode is DecoderMode.SHARED:
-            return self.W[0], self.b[0]
-        return self.W[cat_index], self.b[cat_index]
-
-    @property
-    def s(self) -> int:
-        return self.W[0].shape[1]
+        if self.W.ndim != 3 or self.b.shape != (self.W.shape[0], self.W.shape[2]):
+            raise ConfigurationError(
+                f"decoder shapes W {self.W.shape}, b {self.b.shape} are not [n, d, s], [n, s]")
+        if self.mode is DecoderMode.SHARED and self.W.shape[0] != 1:
+            raise ConfigurationError("SHARED decoder must hold exactly one (W, b) row")
 
 
 def init_decoder_params(mode: DecoderMode, n_cat: int, d: int, s: int,
@@ -67,23 +59,23 @@ def init_decoder_params(mode: DecoderMode, n_cat: int, d: int, s: int,
     """W ~ uniform(-1/sqrt(d), 1/sqrt(d)), b = 0."""
     n = 1 if mode is DecoderMode.SHARED else n_cat
     scale = 1.0 / np.sqrt(d)
-    W = [NdArray(rng.uniform(-scale, scale, size=(d, s))) for _ in range(n)]
-    b = [NdArray(np.zeros(s)) for _ in range(n)]
-    return DecoderParams(mode, W, b)
+    W = np.stack([rng.uniform(-scale, scale, size=(d, s)) for _ in range(n)])
+    return DecoderParams(mode, NdArray(W), NdArray(np.zeros((n, s))))
 
 
 def classify(h: NdArray, dec: DecoderParams, cat_index: int,
              tape: Tape | None = None) -> NdArray:
-    """softmax(W.h + b) with the pair selected by the decoder mode."""
-    W, b = dec.pair(cat_index)
-    d = W.shape[0]
+    """softmax(W.h + b) with the row selected by the decoder mode."""
+    row = 0 if dec.mode is DecoderMode.SHARED else cat_index
+    _, d, s = dec.W.shape
     if h.shape[-1] != d:
         raise DimensionError(f"feature dim {h.shape[-1]} != decoder dim {d}")
     lead = h.shape[:-1]
     hm = nx.reshape(h, (-1, d), tape)
-    logits = nx.add(nx.matmul(hm, W, tape), b, tape)
+    logits = nx.add(nx.matmul(hm, nx.take(dec.W, row, 0, tape), tape),
+                    nx.take(dec.b, row, 0, tape), tape)
     probs = nx.softmax(logits, tape)
-    return nx.reshape(probs, lead + (dec.s,), tape)
+    return nx.reshape(probs, lead + (s,), tape)
 
 
 def attend(query: NdArray, keys_values: NdArray, tape: Tape | None = None,
@@ -110,64 +102,22 @@ def attend(query: NdArray, keys_values: NdArray, tape: Tape | None = None,
     return nx.reshape(nx.matmul(w_row, keys_values, tape), query.shape, tape)
 
 
-def _sep_state(states, i: int, tape) -> NdArray:
-    """Row i of H_sep, with the category axis dropped."""
-    H = states.H_sep
-    d = H.shape[-1]
-    return nx.reshape(nx.take(H, [i], -2, tape), H.shape[:-2] + (d,), tape)
-
-
-def _feature_dropout(h: NdArray, rate: float, rng, tape) -> NdArray:
-    if rate <= 0.0:
-        return h
-    return nx.dropout(h, rate, rng, tape)
-
-
-def head_sep(states, dec: DecoderParams, tape: Tape | None = None,
-             dropout_rate: float = 0.0, rng=None) -> NdArray:
-    """Type 1: classify each category's separator state directly."""
-    rows = []
-    for i in range(states.n_cat):
-        h = _feature_dropout(_sep_state(states, i, tape), dropout_rate, rng, tape)
-        rows.append(classify(h, dec, i, tape))
-    return nx.stack(rows, -2, tape)
-
-
-def head_cls_att(states, dec: DecoderParams, tape: Tape | None = None,
-                 dropout_rate: float = 0.0, rng=None) -> NdArray:
-    """Type 2: category states attended by [CLS], then classify."""
-    rows = []
-    for i in range(states.n_cat):
-        e_cat = attend(states.h_cls, states.H_cat[i], tape)
-        e_cat = _feature_dropout(e_cat, dropout_rate, rng, tape)
-        rows.append(classify(e_cat, dec, i, tape))
-    return nx.stack(rows, -2, tape)
-
-
-def head_sep_sent_att(states, dec: DecoderParams, tape: Tape | None = None,
-                      dropout_rate: float = 0.0, rng=None) -> NdArray:
-    """Type 3: separator attends sentence, result attends category states."""
-    if states.H_sent.shape[-2] == 0:
-        raise EmptySpanError("sentence span is empty")
-    rows = []
-    for i in range(states.n_cat):
-        h_sent = attend(_sep_state(states, i, tape), states.H_sent, tape,
-                        mask=states.sent_mask)
-        e_cat = attend(h_sent, states.H_cat[i], tape)
-        e_cat = _feature_dropout(e_cat, dropout_rate, rng, tape)
-        rows.append(classify(e_cat, dec, i, tape))
-    return nx.stack(rows, -2, tape)
-
-
-_HEADS = {
-    HeadKind.SEP: head_sep,
-    HeadKind.CLS_ATT: head_cls_att,
-    HeadKind.SEP_SENT_ATT: head_sep_sent_att,
-}
-
-
 def head_probs(kind: HeadKind, states, dec: DecoderParams,
                tape: Tape | None = None, dropout_rate: float = 0.0,
                rng=None) -> NdArray:
-    """Dispatch to the head implementation; output [.., n_cat, s]."""
-    return _HEADS[kind](states, dec, tape, dropout_rate, rng)
+    """Each category's head feature, dropped out and classified; output
+    [.., n_cat, s]."""
+    if kind is HeadKind.SEP_SENT_ATT and states.H_sent.shape[-2] == 0:
+        raise EmptySpanError("sentence span is empty")
+    rows = []
+    for i in range(states.n_cat):
+        if kind is HeadKind.CLS_ATT:
+            h = attend(states.h_cls, states.H_cat[i], tape)
+        else:
+            h = nx.take(states.H_sep, i, -2, tape)
+            if kind is HeadKind.SEP_SENT_ATT:
+                h_sent = attend(h, states.H_sent, tape, mask=states.sent_mask)
+                h = attend(h_sent, states.H_cat[i], tape)
+        h = nx.dropout(h, dropout_rate, rng, tape)
+        rows.append(classify(h, dec, i, tape))
+    return nx.stack(rows, -2, tape)

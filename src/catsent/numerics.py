@@ -147,21 +147,27 @@ def transpose(a: NdArray, axes, tape: Tape | None = None) -> NdArray:
 
 
 def take(a: NdArray, indices, axis: int, tape: Tape | None = None) -> NdArray:
-    """Index-select along ``axis``; backward scatter-adds (repeats allowed).
+    """Index-select along ``axis`` as ``np.take`` does: the index's axes
+    replace ``axis`` (an int index drops it). The backward scatter-adds
+    (repeats allowed).
 
     A contiguous run of indices scatters back by one slice assignment; any
     other index set is summed by one ``np.bincount``.
     """
     idx = np.asarray(indices)
+    axis %= a.ndim
     out = NdArray(np.take(a.data, idx, axis=axis))
     flat = idx.reshape(-1)
-    span = (idx.ndim == 1 and flat.size > 0
+    span = (idx.ndim <= 1 and flat.size > 0
             and bool((np.diff(flat) == 1).all()))
+    idx_axes = range(axis, axis + idx.ndim)
 
     def backward(g):
         ga = np.zeros_like(a.data)
         gm = np.moveaxis(ga, axis, 0)
-        rows = np.moveaxis(g, axis, 0)
+        # one row of g per entry of the flattened index
+        rows = np.moveaxis(g, idx_axes, range(idx.ndim)).reshape(
+            (flat.size,) + gm.shape[1:])
         if span:
             gm[flat[0]:flat[-1] + 1] = rows
         elif flat.size:

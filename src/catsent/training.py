@@ -57,11 +57,8 @@ class TrainedModel:
     provenance: dict = field(default_factory=dict)
 
     def param_items(self) -> list[tuple[str, NdArray]]:
-        items = [(n, self.enc_params[n]) for n in encoder_param_names(self.encoder_config)]
-        for i, (w, b) in enumerate(zip(self.dec.W, self.dec.b)):
-            items.append((f"dec.W{i}", w))
-            items.append((f"dec.b{i}", b))
-        return items
+        return ([(n, self.enc_params[n]) for n in encoder_param_names(self.encoder_config)]
+                + [("dec.W", self.dec.W), ("dec.b", self.dec.b)])
 
     def params(self) -> list[NdArray]:
         return [p for _, p in self.param_items()]
@@ -69,9 +66,7 @@ class TrainedModel:
     def clone(self) -> "TrainedModel":
         m = copy.copy(self)
         m.enc_params = {k: v.copy() for k, v in self.enc_params.items()}
-        m.dec = DecoderParams(self.dec.mode,
-                              [w.copy() for w in self.dec.W],
-                              [b.copy() for b in self.dec.b])
+        m.dec = DecoderParams(self.dec.mode, self.dec.W.copy(), self.dec.b.copy())
         m.provenance = copy.deepcopy(self.provenance)
         return m
 
@@ -137,11 +132,12 @@ def forward_probs(model: TrainedModel, batch: BatchEncoding, train_mode: bool,
 def loss_from_probs(probs: NdArray, label_mask: np.ndarray, onehot: np.ndarray,
                     model: TrainedModel, l2_lambda: float,
                     tape: Tape | None,
-                    penalized: set[str] | None = None) -> NdArray:
+                    dec_rows: np.ndarray | None = None) -> NdArray:
     """Masked cross-entropy over labeled categories plus the L2 penalty.
 
-    ``penalized`` restricts the penalty to a subset of parameter names;
-    frozen parameters must not feel regularization pressure either.
+    ``dec_rows`` (bool over the decoder rows, default all) restricts the
+    penalty on W to the rows that train; a frozen row must not feel
+    regularization pressure either.
     """
     B = probs.shape[0]
     logp = nx.clamped_log(probs, tape=tape)
@@ -149,12 +145,12 @@ def loss_from_probs(probs: NdArray, label_mask: np.ndarray, onehot: np.ndarray,
     data_term = nx.scale(nx.reduce_sum(picked, tape=tape), -1.0 / B, tape)
     if l2_lambda == 0.0:
         return data_term
+    W = model.dec.W
+    rows = range(W.shape[0]) if dec_rows is None else np.flatnonzero(dec_rows)
+    weights = [p for name, p in model.param_items() if not _is_bias(name) and p is not W]
+    weights += [nx.take(W, i, 0, tape) for i in rows]      # one term per row
     sq = None
-    for name, p in model.param_items():
-        if _is_bias(name):
-            continue
-        if penalized is not None and name not in penalized:
-            continue
+    for p in weights:
         term = nx.reduce_sum(nx.mul(p, p, tape), tape=tape)
         sq = term if sq is None else nx.add(sq, term, tape)
     return nx.add(data_term, nx.scale(sq, l2_lambda / 2.0, tape), tape)
@@ -233,25 +229,6 @@ def _labeled(dataset: Dataset) -> Dataset:
     return replace(dataset, samples=tuple(s for s in dataset.samples if s.labels))
 
 
-def _frozen_decoder_names(model: TrainedModel, train_ds: Dataset) -> set[str]:
-    """Per-category decoder pairs for categories with no labels at all.
-
-    Only meaningful for per-category decoders: no gradient can reach them
-    through the masked loss, and freezing keeps regularization away too, so
-    those pairs stay bit-identical through a training run.
-    """
-    if model.dec.mode is not DecoderMode.UNSHARED:
-        return set()
-    labeled = set()
-    for s in train_ds.samples:
-        labeled.update(s.labels)
-    frozen = set()
-    for i, cat in enumerate(model.schema.categories):
-        if cat not in labeled:
-            frozen.update((f"dec.W{i}", f"dec.b{i}"))
-    return frozen
-
-
 def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
           config: TrainConfig, log: list | None = None) -> TrainedModel:
     """Mini-batch Adam with warmup/decay and early stopping on valid loss.
@@ -276,11 +253,13 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     n = len(train_ds.samples)
     steps_per_epoch = max((n + config.batch_size - 1) // config.batch_size, 1)
     total_steps = steps_per_epoch * config.epochs
-    frozen = _frozen_decoder_names(model, train_ds)
-    named = [(name, p) for name, p in model.param_items() if name not in frozen]
-    penalized = {name for name, _ in named}
-    params = [p for _, p in named]
-    opt = Adam(named)
+    # A category with no training label gets an exactly zero gradient from the
+    # masked loss, which a fresh Adam turns into an exactly zero update. Kept
+    # out of L2 as well, its unshared decoder row stays bit-identical.
+    dec_rows = (tr_mask.any(axis=0) if model.dec.mode is DecoderMode.UNSHARED
+                else np.ones(1, dtype=bool))
+    params = model.params()
+    opt = Adam(model.param_items())
 
     best_loss = np.inf
     best_params = None
@@ -294,7 +273,7 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
             batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
             probs = forward_probs(model, batch, True, drop_rng, tape)
             loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
-                                   config.l2_lambda, tape, penalized)
+                                   config.l2_lambda, tape, dec_rows)
             if not np.isfinite(loss.item()):
                 raise DivergenceError(step)
             tape.backward(loss, params)

@@ -100,7 +100,7 @@ def test_acceptance_2_equation_oracles():
     for _ in range(100):
         h = rng.normal(size=d)
         i = int(rng.integers(3))
-        z = dec.W[i].data.T @ h + dec.b[i].data
+        z = dec.W.data[i].T @ h + dec.b.data[i]
         ez = np.exp(z - z.max())
         got = classify(NdArray(h), dec, i).data
         assert np.abs(got - ez / ez.sum()).max() < 1e-10
@@ -241,15 +241,15 @@ def test_acceptance_5_decoder_mechanics():
     s1, s2 = run_incremental(src_tr, src_va, tgt_tr, tgt_va, init, cfg, cfg)
     i = SCHEMA.index("food")
     j = SCHEMA.index("service")
-    assert np.array_equal(s1.dec.W[i].data, s2.dec.W[i].data)
-    assert np.array_equal(s1.dec.b[i].data, s2.dec.b[i].data)
-    assert not np.array_equal(s1.dec.W[j].data, s2.dec.W[j].data)
+    assert np.array_equal(s1.dec.W.data[i], s2.dec.W.data[i])
+    assert np.array_equal(s1.dec.b.data[i], s2.dec.b.data[i])
+    assert not np.array_equal(s1.dec.W.data[j], s2.dec.W.data[j])
 
     init = fresh_model(SCHEMA, POL, vocab, enc, HeadKind.SEP,
                        DecoderMode.SHARED, 0)
     s1, s2 = run_incremental(src_tr, src_va, tgt_tr, tgt_va, init, cfg, cfg)
-    assert not np.array_equal(s1.dec.W[0].data, s2.dec.W[0].data)
-    assert not np.array_equal(s1.dec.b[0].data, s2.dec.b[0].data)
+    assert not np.array_equal(s1.dec.W.data[0], s2.dec.W.data[0])
+    assert not np.array_equal(s1.dec.b.data[0], s2.dec.b.data[0])
     print("\n[acceptance 5] stage-2 decoder mechanics (frozen per-category "
           "pairs vs updated shared pair): PASS")
 

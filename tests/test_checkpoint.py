@@ -1,6 +1,8 @@
 """Checkpoint round trips: save -> load must reproduce predictions to
 float64 identity."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,11 @@ def test_roundtrip_bitwise(tmp_path):
     model, ds = trained_model()
     path = tmp_path / "model.npz"
     save_model(model, path)
+    with np.load(path) as npz:
+        meta = json.loads(bytes(npz["__meta__"]).decode())
+        dec_keys = sorted(k for k in npz.files if k.startswith("dec/"))
+    assert meta["format_version"] == 1
+    assert dec_keys == ["dec/W0", "dec/W1", "dec/b0", "dec/b1"]
     back = load_model(path)
     assert back.schema == model.schema
     assert back.polarities == model.polarities

@@ -15,12 +15,12 @@ from catsent.checkpoint import load_model, save_model
 from catsent.cli import ExperimentConfig, main
 from catsent.convert import convert_semeval14, convert_sentihood
 from catsent.data import load_dataset, load_schema
-from catsent.encoder import EncoderConfig
+from catsent.encoder import EncoderConfig, Vocabulary
 from catsent.errors import ConfigurationError, DataError
 from catsent.experiments import (Corpus, run_incremental_pipeline, run_mix_pipeline,
                                  run_plain_pipeline)
 from catsent.heads import DecoderMode, HeadKind
-from catsent.training import TrainConfig
+from catsent.training import TrainConfig, fresh_model
 
 RESTAURANT_XML = """<?xml version="1.0" encoding="UTF-8"?>
 <sentences>
@@ -302,6 +302,20 @@ def test_cli_missing_data_file_exits_3(tmp_path, field_name):
     assert_exit(run_cli("train", "--config", cfg_path), 3, "absent.jsonl")
 
 
+@pytest.mark.parametrize("field_name, value", [
+    ("polarities", 5), ("categories", [["a"]]), ("polarities", [{"x": 1}, "none"]),
+    ("categories", "abc"), ("source_categories", "food")],
+    ids=["polarities-int", "categories-nested", "polarities-object", "categories-str",
+         "source-str"])
+def test_cli_schema_field_not_a_list_of_strings_exits_3(tmp_path, field_name, value):
+    out, cfg_path = workspace(tmp_path)
+    schema_path = out / "schema.json"
+    raw = json.loads(schema_path.read_text())
+    raw[field_name] = value
+    schema_path.write_text(json.dumps(raw))
+    assert_exit(run_cli("train", "--config", cfg_path), 3, repr(field_name))
+
+
 @pytest.mark.parametrize("key", ["text", "id", "labels"])
 def test_cli_record_without_a_field_exits_3_naming_the_line(tmp_path, key):
     out, cfg_path = workspace(tmp_path)
@@ -326,6 +340,45 @@ def test_cli_checkpoint_without_meta_exits_2(tmp_path):
     np.savez(path, weights=np.zeros(3))
     assert_exit(run_cli("eval", "--checkpoint", path, "--dataset", out / "test.jsonl"),
                 2, "__meta__")
+
+
+def _set_meta(arrays, meta):
+    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)
+
+
+@pytest.mark.parametrize("edit, needle", [
+    pytest.param(lambda a, m: a.update(__meta__=np.frombuffer(b"{not", dtype=np.uint8)),
+                 "__meta__", id="meta-not-json"),
+    pytest.param(lambda a, m: _set_meta(a, {"format_version": 1}),
+                 "malformed checkpoint", id="meta-version-only"),
+    pytest.param(lambda a, m: (a.pop("dec/W2"), a.pop("dec/b2")),
+                 "n_decoders", id="decoder-row-missing"),
+    pytest.param(lambda a, m: a.update({"dec/W3": a["dec/W0"], "dec/b3": a["dec/b0"]}),
+                 "n_decoders", id="decoder-row-extra"),
+    pytest.param(lambda a, m: _set_meta(a, {**m, "n_decoders": 1}),
+                 "n_decoders", id="n-decoders-1"),
+    pytest.param(lambda a, m: _set_meta(a, {**m, "decoder_mode": "shared"}),
+                 "n_decoders", id="shared-with-3-rows"),
+    pytest.param(lambda a, m: a.update({"dec/W1": np.zeros((9, 3))}),
+                 "decoder rows", id="one-row-wrong-shape"),
+    pytest.param(lambda a, m: a.update({f"dec/W{i}": np.zeros((9, 3)) for i in range(3)}),
+                 "decoder rows", id="all-rows-wrong-d"),
+])
+def test_cli_malformed_checkpoint_exits_2(tmp_path, edit, needle):
+    """An unshared 3-category checkpoint with its arrays or meta record edited."""
+    out, _ = workspace(tmp_path)
+    schema, pol = load_schema(out / "schema.json")
+    vocab = Vocabulary.build([s.text for s in load_dataset(out / "train.jsonl", schema,
+                                                           pol).samples], schema)
+    enc = EncoderConfig(layers=1, heads=2, d=8, ff=16, max_len=32)
+    path = tmp_path / "edited.npz"
+    save_model(fresh_model(schema, pol, vocab, enc, HeadKind.SEP, DecoderMode.UNSHARED, 0),
+               path)
+    arrays = dict(np.load(path))
+    edit(arrays, json.loads(bytes(arrays["__meta__"]).decode()))
+    np.savez(path, **arrays)
+    assert_exit(run_cli("eval", "--checkpoint", path, "--dataset", out / "test.jsonl"),
+                2, needle)
 
 
 def test_cli_eval_rejects_a_bad_threshold_with_exit_2(tmp_path):

@@ -81,7 +81,7 @@ def test_classify_matches_scalar_oracle():
         h = RNG.normal(size=D)
         i = int(RNG.integers(NCAT))
         got = classify(NdArray(h), dec, i).data
-        want = classify_oracle(h, dec.W[i].data, dec.b[i].data)
+        want = classify_oracle(h, dec.W.data[i], dec.b.data[i])
         assert np.allclose(got, want, atol=1e-10, rtol=0)
 
 
@@ -94,11 +94,14 @@ def test_classify_dim_guard():
 def test_decoder_param_counts():
     shared = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
     unshared = init_decoder_params(DecoderMode.UNSHARED, NCAT, D, S, RNG)
-    assert len(shared.W) == 1 and len(unshared.W) == NCAT
-    assert shared.pair(0) == shared.pair(2)
-    assert unshared.pair(0) != unshared.pair(2)
+    assert shared.W.shape == (1, D, S) and shared.b.shape == (1, S)
+    assert unshared.W.shape == (NCAT, D, S) and unshared.b.shape == (NCAT, S)
+    two_W = NdArray(np.concatenate([shared.W.data] * 2))
+    two_b = NdArray(np.concatenate([shared.b.data] * 2))
     with pytest.raises(ConfigurationError):
-        DecoderParams(DecoderMode.SHARED, shared.W * 2, shared.b * 2)
+        DecoderParams(DecoderMode.SHARED, two_W, two_b)
+    with pytest.raises(ConfigurationError):
+        DecoderParams(DecoderMode.UNSHARED, unshared.W, shared.b)
 
 
 @pytest.mark.parametrize("kind", list(HeadKind))
@@ -124,33 +127,43 @@ def test_head_batched_matches_single(kind):
         assert np.allclose(out[b], want[0], atol=1e-12, rtol=0)
 
 
-def test_sep_head_scalar_oracle():
+def decoder_row(mode, i):
+    return 0 if mode is DecoderMode.SHARED else i
+
+
+@pytest.mark.parametrize("mode", list(DecoderMode))
+def test_sep_head_scalar_oracle(mode):
     states = make_states(seed=2)
-    dec = init_decoder_params(DecoderMode.UNSHARED, NCAT, D, S, RNG)
+    dec = init_decoder_params(mode, NCAT, D, S, RNG)
     probs = head_probs(HeadKind.SEP, states, dec).data[0]
     for i in range(NCAT):
-        want = classify_oracle(states.H_sep.data[0, i], dec.W[i].data, dec.b[i].data)
+        r = decoder_row(mode, i)
+        want = classify_oracle(states.H_sep.data[0, i], dec.W.data[r], dec.b.data[r])
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
 
-def test_cls_att_head_scalar_oracle():
+@pytest.mark.parametrize("mode", list(DecoderMode))
+def test_cls_att_head_scalar_oracle(mode):
     states = make_states(seed=3)
-    dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
+    dec = init_decoder_params(mode, NCAT, D, S, RNG)
     probs = head_probs(HeadKind.CLS_ATT, states, dec).data[0]
     for i in range(NCAT):
+        r = decoder_row(mode, i)
         e_cat = attend_oracle(states.h_cls.data[0], states.H_cat[i].data[0])
-        want = classify_oracle(e_cat, dec.W[0].data, dec.b[0].data)
+        want = classify_oracle(e_cat, dec.W.data[r], dec.b.data[r])
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
 
-def test_sep_sent_att_head_scalar_oracle():
+@pytest.mark.parametrize("mode", list(DecoderMode))
+def test_sep_sent_att_head_scalar_oracle(mode):
     states = make_states(seed=4)
-    dec = init_decoder_params(DecoderMode.SHARED, NCAT, D, S, RNG)
+    dec = init_decoder_params(mode, NCAT, D, S, RNG)
     probs = head_probs(HeadKind.SEP_SENT_ATT, states, dec).data[0]
     for i in range(NCAT):
+        r = decoder_row(mode, i)
         h_sent = attend_oracle(states.H_sep.data[0, i], states.H_sent.data[0])
         e_cat = attend_oracle(h_sent, states.H_cat[i].data[0])
-        want = classify_oracle(e_cat, dec.W[0].data, dec.b[0].data)
+        want = classify_oracle(e_cat, dec.W.data[r], dec.b.data[r])
         assert np.allclose(probs[i], want, atol=1e-10, rtol=0)
 
 
@@ -180,6 +193,6 @@ def test_head_gradients_reach_decoder():
     tape = nx.Tape()
     probs = head_probs(HeadKind.SEP_SENT_ATT, states, dec, tape=tape)
     loss = nx.reduce_sum(nx.mul(probs, probs, tape), tape=tape)
-    tape.backward(loss, dec.W + dec.b)
-    assert np.abs(dec.W[0].grad).sum() > 0
-    assert np.abs(dec.b[0].grad).sum() > 0
+    tape.backward(loss, [dec.W, dec.b])
+    assert np.abs(dec.W.grad[0]).sum() > 0
+    assert np.abs(dec.b.grad[0]).sum() > 0

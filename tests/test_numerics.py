@@ -305,6 +305,21 @@ def test_take_backward_on_a_contiguous_span_and_scattered_columns():
         assert np.array_equal(take_grad(a, idx, -2, g), want)
 
 
+@pytest.mark.parametrize("indices, axis", [([[0, 1], [3, 4]], 1), ([[2, 2], [0, 4]], 1),
+                                           ([[1], [0]], -1), (3, 1), (1, 0)])
+def test_take_gradient_with_an_index_array_or_int_on_any_axis(indices, axis):
+    a = nx.NdArray(RNG.normal(size=(2, 5, 3)))
+    weights = nx.NdArray(RNG.normal(size=np.take(a.data, indices, axis).shape))
+
+    def run():
+        tape = nx.Tape()
+        loss = scalar_sum(nx.mul(nx.take(a, indices, axis, tape), weights, tape), tape)
+        tape.backward(loss, [a])
+        return loss.item()
+
+    assert nx.grad_check(run, [a]) < 1e-6
+
+
 def masked_softmax_fallback(x, mask, g):
     """The masked softmax and its backward with every mask applied by where."""
     shifted = x + np.where(mask > 0, 0.0, -np.inf)

@@ -116,7 +116,7 @@ def test_batch_loss_gradient_check():
         tape.backward(loss, params)
         return loss.item()
 
-    err = nx.grad_check(run, [model.dec.W[0], model.enc_params["emb_ln_g"]],
+    err = nx.grad_check(run, [model.dec.W, model.enc_params["emb_ln_g"]],
                         eps=1e-5,
                         forward=lambda: batch_loss(ds.samples, model, cfg).item())
     assert err < 1e-5, err
@@ -198,10 +198,10 @@ def test_incremental_unshared_source_pairs_untouched():
     stage1, stage2 = run_incremental(src_tr, src_va, tgt_tr, tgt_va,
                                      tiny_model(DecoderMode.UNSHARED), cfg, cfg)
     i = SCHEMA.index("food")
-    assert np.array_equal(stage1.dec.W[i].data, stage2.dec.W[i].data)
-    assert np.array_equal(stage1.dec.b[i].data, stage2.dec.b[i].data)
+    assert np.array_equal(stage1.dec.W.data[i], stage2.dec.W.data[i])
+    assert np.array_equal(stage1.dec.b.data[i], stage2.dec.b.data[i])
     j = SCHEMA.index("service")
-    assert not np.array_equal(stage1.dec.W[j].data, stage2.dec.W[j].data)
+    assert not np.array_equal(stage1.dec.W.data[j], stage2.dec.W.data[j])
 
 
 def test_incremental_shared_pair_changes():
@@ -212,7 +212,7 @@ def test_incremental_shared_pair_changes():
     cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8)
     stage1, stage2 = run_incremental(src_tr, src_va, tgt_tr, tgt_va,
                                      tiny_model(DecoderMode.SHARED), cfg, cfg)
-    assert not np.array_equal(stage1.dec.W[0].data, stage2.dec.W[0].data)
+    assert not np.array_equal(stage1.dec.W.data[0], stage2.dec.W.data[0])
 
 
 def test_incremental_empty_target_stage():
