@@ -10,7 +10,8 @@ from dataclasses import asdict
 import numpy as np
 
 from .data import CategorySchema, PolaritySet
-from .encoder import EncoderConfig, Vocabulary, encoder_param_names
+from .encoder import (EncoderConfig, Vocabulary, encoder_param_names,
+                      encoder_param_shapes)
 from .errors import ConfigurationError
 from .heads import DecoderMode, DecoderParams, HeadKind
 from .numerics import NdArray
@@ -75,8 +76,13 @@ def _model_from(meta: dict, npz) -> TrainedModel:
                             tuple(meta["schema"]["target_categories"]))
     polarities = PolaritySet(tuple(meta["polarities"]))
     vocab = Vocabulary(meta["vocab"])
-    enc_params = {name: NdArray(npz["enc/" + name], copy=True)
-                  for name in encoder_param_names(config)}
+    shapes = encoder_param_shapes(config, len(vocab), schema.n_cat + 1)
+    enc_params = {name: NdArray(npz["enc/" + name], copy=True) for name in shapes}
+    bad = [f"{name} {p.shape} != {shapes[name]}" for name, p in enc_params.items()
+           if p.shape != shapes[name]]
+    if bad:
+        raise ConfigurationError(f"encoder arrays do not match the encoder config, "
+                                 f"vocabulary and schema: {', '.join(bad)}")
     mode, n_dec = DecoderMode(meta["decoder_mode"]), meta["n_decoders"]
     want = {f"dec/{x}{i}" for x in "Wb" for i in range(n_dec)}
     if (n_dec != (1 if mode is DecoderMode.SHARED else schema.n_cat)

@@ -216,33 +216,33 @@ class EncoderConfig:
             raise ConfigurationError("all encoder dimensions must be positive")
 
 
-def init_encoder_params(config: EncoderConfig, vocab_size: int, n_segments: int,
-                        rng: np.random.Generator) -> dict[str, NdArray]:
+def encoder_param_shapes(config: EncoderConfig, vocab_size: int,
+                         n_segments: int) -> dict[str, tuple[int, ...]]:
+    """Every encoder parameter's shape, in the order of its name."""
     d, ff = config.d, config.ff
-
-    def normal(*shape):
-        return NdArray(rng.normal(0.0, 0.02, size=shape))
-
-    params = {
-        "tok_emb": normal(vocab_size, d),
-        "pos_emb": normal(config.max_len, d),
-        "seg_emb": normal(n_segments, d),
-        "emb_ln_g": NdArray(np.ones(d)),
-        "emb_ln_b": NdArray(np.zeros(d)),
-    }
+    shapes = {"tok_emb": (vocab_size, d), "pos_emb": (config.max_len, d),
+              "seg_emb": (n_segments, d), "emb_ln_g": (d,), "emb_ln_b": (d,)}
     for l in range(config.layers):
         p = f"l{l}."
         for name in ("wq", "wk", "wv", "wo"):
-            params[p + name] = normal(d, d)
-            params[p + name.replace("w", "b")] = NdArray(np.zeros(d))
-        params[p + "ln1_g"] = NdArray(np.ones(d))
-        params[p + "ln1_b"] = NdArray(np.zeros(d))
-        params[p + "w1"] = normal(d, ff)
-        params[p + "c1"] = NdArray(np.zeros(ff))
-        params[p + "w2"] = normal(ff, d)
-        params[p + "c2"] = NdArray(np.zeros(d))
-        params[p + "ln2_g"] = NdArray(np.ones(d))
-        params[p + "ln2_b"] = NdArray(np.zeros(d))
+            shapes[p + name] = (d, d)
+            shapes[p + name.replace("w", "b")] = (d,)
+        shapes.update({p + "ln1_g": (d,), p + "ln1_b": (d,), p + "w1": (d, ff),
+                       p + "c1": (ff,), p + "w2": (ff, d), p + "c2": (d,),
+                       p + "ln2_g": (d,), p + "ln2_b": (d,)})
+    return shapes
+
+
+def init_encoder_params(config: EncoderConfig, vocab_size: int, n_segments: int,
+                        rng: np.random.Generator) -> dict[str, NdArray]:
+    """Matrices ~ normal(0, 0.02), drawn in name order; layer-norm gains 1,
+    biases and layer-norm offsets 0."""
+    params = {}
+    for name, shape in encoder_param_shapes(config, vocab_size, n_segments).items():
+        if len(shape) == 2:
+            params[name] = NdArray(rng.normal(0.0, 0.02, size=shape))
+        else:
+            params[name] = NdArray(np.ones(shape) if name.endswith("_g") else np.zeros(shape))
     return params
 
 
@@ -311,10 +311,4 @@ def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
 
 
 def encoder_param_names(config: EncoderConfig) -> list[str]:
-    names = ["tok_emb", "pos_emb", "seg_emb", "emb_ln_g", "emb_ln_b"]
-    for l in range(config.layers):
-        p = f"l{l}."
-        names += [p + n for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                                  "ln1_g", "ln1_b", "w1", "c1", "w2", "c2",
-                                  "ln2_g", "ln2_b")]
-    return names
+    return list(encoder_param_shapes(config, 0, 0))

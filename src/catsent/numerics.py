@@ -212,7 +212,16 @@ def gelu(a: NdArray, tape: Tape | None = None) -> NdArray:
     c = np.sqrt(2.0 / np.pi)
     x = a.data
     xx = x * x
-    t = np.tanh(c * (x + 0.044715 * (xx * x)))
+    t = xx * x                       # tanh(c * (x + 0.044715 x³)), built in place
+    t *= 0.044715
+    t += x
+    t *= c
+    np.tanh(t, out=t)
+    if tape is None:                 # forward only: 0.5 x (1 + t) in xx's buffer
+        t += 1.0
+        np.multiply(x, 0.5, out=xx)
+        xx *= t
+        return NdArray(xx)
     out = NdArray(0.5 * x * (1.0 + t))
 
     def backward(g):
@@ -285,7 +294,8 @@ def attention(q: NdArray, k: NdArray, v: NdArray, heads: int,
     ``key_mask`` ([B, T], 0/1) is 1 and merges the heads back to [B, T, d].
     One tape entry; the backward is
     ``dv = pᵀg``, ``ds = c·p⊙(gvᵀ − rowsum(gvᵀ⊙p))``, ``dq = ds·k``,
-    ``dk = dsᵀq`` with c = 1/sqrt(d/heads).
+    ``dk = dsᵀq`` with c = 1/sqrt(d/heads). Untaped, the forward holds one
+    head's scores at a time.
     """
     B, T, d = q.shape
     if k.shape != q.shape or v.shape != q.shape:
@@ -300,6 +310,19 @@ def attention(q: NdArray, k: NdArray, v: NdArray, heads: int,
         return t.transpose(0, 2, 1, 3).reshape(B, T, d)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    if tape is None:
+        # Forward only: one head's [B, T, T] weights at a time in one reused
+        # buffer, the same per-matrix products as the taped path below.
+        bias = np.where(key_mask > 0, 0.0, -np.inf)[:, None, :]
+        s = np.empty((B, T, T))
+        ctx = np.empty((B, heads, T, dh))
+        for h in range(heads):
+            np.matmul(qh[:, h], kh[:, h].transpose(0, 2, 1), out=s)
+            s *= c
+            s += bias
+            _masked_exp_normalize(s)
+            np.matmul(s, vh[:, h], out=ctx[:, h])
+        return NdArray(merge(ctx))
     p = np.matmul(qh, kh.transpose(0, 1, 3, 2))      # [B, h, T, T]
     p *= c
     p += np.where(key_mask > 0, 0.0, -np.inf)[:, None, None, :]
@@ -342,12 +365,20 @@ def dropout(a: NdArray, rate: float, rng: np.random.Generator,
 
 def layer_norm(x: NdArray, gain: NdArray, bias: NdArray, eps: float = 1e-6,
                tape: Tape | None = None) -> NdArray:
-    """Normalize the last axis to zero mean / unit variance, then affine."""
+    """Normalize the last axis to zero mean / unit variance, then affine.
+
+    The variance is ``np.var``'s arithmetic on the one centred array that
+    also becomes ``xhat``.
+    """
     mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xhat = x.data - mu
+    var = np.square(xhat).sum(axis=-1, keepdims=True) / x.shape[-1]
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
-    out = NdArray(xhat * gain.data + bias.data)
+    xhat *= inv
+    # forward only, xhat is not kept and its buffer becomes the output
+    y = xhat * gain.data if tape is not None else np.multiply(xhat, gain.data, out=xhat)
+    y += bias.data
+    out = NdArray(y)
 
     def backward(g):
         n = x.shape[-1]

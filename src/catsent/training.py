@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import os
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -349,15 +350,43 @@ def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput],
     in input order.
 
     Batches are cut from the inputs stably sorted by kept sentence width, so
-    each batch pads its sentences to a width close to their own.
+    each batch pads its sentences to a width close to their own. They run on
+    one thread per available CPU, the calling thread included: with n
+    threads, thread k runs batches k, k + n, ... Each batch writes only its
+    own rows of the output, so the result does not depend on the thread
+    count or on the order in which batches finish.
     """
     order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))
-    for i in range(0, len(inputs), batch_size):
-        idx = order[i:i + batch_size]
-        batch = batch_inputs([inputs[j] for j in idx], model.vocab)
-        out[idx] = forward_probs(model, batch, False, None, None).data
+    starts = range(0, len(inputs), batch_size)
+    n_threads = max(min(_available_cpus(), len(starts)), 1)
+
+    def run(k: int) -> None:
+        for i in starts[k::n_threads]:
+            idx = order[i:i + batch_size]
+            batch = batch_inputs([inputs[j] for j in idx], model.vocab)
+            out[idx] = forward_probs(model, batch, False, None, None).data
+
+    if n_threads == 1:
+        run(0)
+        return out
+    # imported on first use: a program that never runs two batches at once
+    # need not pay for it at start-up
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(n_threads - 1) as pool:
+        futures = [pool.submit(run, k) for k in range(1, n_threads)]
+        run(0)
+        for f in futures:
+            f.result()
     return out
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:                 # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def dataset_fingerprint(dataset: Dataset) -> str:

@@ -363,6 +363,10 @@ def _set_meta(arrays, meta):
                  "decoder rows", id="one-row-wrong-shape"),
     pytest.param(lambda a, m: a.update({f"dec/W{i}": np.zeros((9, 3)) for i in range(3)}),
                  "decoder rows", id="all-rows-wrong-d"),
+    pytest.param(lambda a, m: a.update({"enc/l0.wq": np.zeros((9, 8))}),
+                 "encoder arrays", id="encoder-matrix-wrong-shape"),
+    pytest.param(lambda a, m: a.update({"enc/tok_emb": a["enc/tok_emb"][:-1]}),
+                 "encoder arrays", id="tok-emb-rows-not-vocab-size"),
 ])
 def test_cli_malformed_checkpoint_exits_2(tmp_path, edit, needle):
     """An unshared 3-category checkpoint with its arrays or meta record edited."""

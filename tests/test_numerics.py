@@ -112,6 +112,63 @@ def test_gelu_grad_smooth_everywhere():
                [(41,)])
 
 
+def gelu_reference(x, g):
+    """The tanh-form gelu and its backward, each written as one expression."""
+    c = np.sqrt(2.0 / np.pi)
+    xx = x * x
+    t = np.tanh(c * (x + 0.044715 * (xx * x)))
+    dinner = c * (1.0 + 3 * 0.044715 * xx)
+    return 0.5 * x * (1.0 + t), g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner)
+
+
+def layer_norm_reference(x, gain, bias, g, eps=1e-6):
+    """Layer norm with ``np.var`` and its backward, each written out."""
+    mu = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    dxhat = g * gain
+    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    return xhat * gain + bias, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
+
+
+def taped_output_and_grads(op, arrays, g):
+    """op's output and the gradients of sum(op(...) * g) for each array."""
+    params = [nx.NdArray(a, copy=True) for a in arrays]
+    tape = nx.Tape()
+    out = op(*params, tape=tape)
+    tape.backward(nx.reduce_sum(nx.mul(out, nx.NdArray(g), tape), tape=tape), params)
+    return out.data, [p.grad for p in params]
+
+
+def test_gelu_and_layer_norm_equal_their_reference_formulas():
+    x = RNG.normal(size=(6, 7, 24)) * 3 + 5
+    gain, bias = RNG.normal(size=24), RNG.normal(size=24)
+    g = RNG.normal(size=x.shape)
+
+    out, (dx,) = taped_output_and_grads(nx.gelu, [x], g)
+    want_out, want_dx = gelu_reference(x, g)
+    assert np.array_equal(out, want_out) and np.array_equal(dx, want_dx)
+
+    out, grads = taped_output_and_grads(nx.layer_norm, [x, gain, bias], g)
+    want_out, *want_grads = layer_norm_reference(x, gain, bias, g)
+    assert np.array_equal(out, want_out)
+    for got, want in zip(grads, want_grads):
+        assert np.array_equal(got, want)
+
+
+def test_untaped_gelu_and_layer_norm_equal_taped_and_leave_the_input():
+    x = RNG.normal(size=(5, 9, 16)) * 2 - 1
+    kept = x.copy()
+    gain, bias = nx.NdArray(RNG.normal(size=16)), nx.NdArray(RNG.normal(size=16))
+    assert np.array_equal(nx.gelu(nx.NdArray(x)).data,
+                          nx.gelu(nx.NdArray(x), nx.Tape()).data)
+    assert np.array_equal(nx.layer_norm(nx.NdArray(x), gain, bias).data,
+                          nx.layer_norm(nx.NdArray(x), gain, bias, tape=nx.Tape()).data)
+    assert np.array_equal(x, kept)
+
+
 def test_softmax_rows_sum_to_one():
     for _ in range(100):
         x = RNG.normal(size=(4, 6)) * 10
@@ -271,6 +328,18 @@ def test_attention_grad_check_with_a_fully_masked_sample():
     out = nx.attention(*(nx.NdArray(RNG.normal(size=(2, 3, 4))) for _ in range(2)),
                        w, 2, mask).data
     assert np.allclose(out[1], w.data[1].mean(axis=0), atol=1e-15, rtol=0)
+
+
+@pytest.mark.parametrize("mask_kind", ["all-live", "padded", "dead-row"])
+def test_untaped_attention_equals_taped(mask_kind):
+    rng = np.random.default_rng(11)
+    B, T, heads, d = 16, 42, 4, 32
+    mask = {"all-live": np.ones((B, T)),
+            "padded": padded_key_mask(B, T, rng),
+            "dead-row": padded_key_mask(B, T, rng) * (np.arange(B) != 3)[:, None]}[mask_kind]
+    q, k, v = (nx.NdArray(rng.normal(size=(B, T, d))) for _ in range(3))
+    taped = nx.attention(q, k, v, heads, mask, nx.Tape()).data
+    assert np.array_equal(nx.attention(q, k, v, heads, mask).data, taped)
 
 
 def test_attention_rejects_mismatched_shapes():

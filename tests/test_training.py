@@ -1,10 +1,14 @@
 """Loss oracles, schedule pointwise checks, masked-label invariance, and
 workflow behavior on tiny datasets."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
 import pytest
+
+import catsent.training
 
 from catsent.data import (CategorySchema, PolaritySet, Sample, SyntheticSpec,
                           make_dataset, make_synthetic, split_incremental)
@@ -296,7 +300,7 @@ def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
     predict(model, ds, batch_size=8)
     assert len(seen) == 5
     prev_widest = 0
-    for batch in seen:
+    for batch in sorted(seen, key=lambda b: b.sent_width):   # threads interleave calls
         lengths = batch.sent_mask.sum(axis=1)          # kept sentence tokens per row
         widest = lengths.max()
         assert widest == batch.sent_width
@@ -305,6 +309,70 @@ def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
         assert (batch.mask == 0).sum() == (widest - lengths).sum()
         assert lengths.min() >= prev_widest             # batches do not overlap
         prev_widest = widest
+
+
+def sorted_batch_probs(model, ds, batch_size):
+    """Reference eval loop: one thread, batches cut from the inputs stably
+    sorted by kept sentence width."""
+    inputs = prepare_inputs(ds, model)
+    order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
+    out = np.zeros((len(inputs), SCHEMA.n_cat, POL.size))
+    for i in range(0, len(inputs), batch_size):
+        idx = order[i:i + batch_size]
+        out[idx] = forward_probs(model, batch_inputs([inputs[j] for j in idx], model.vocab),
+                                 False, None, None).data
+    return out
+
+
+@pytest.mark.parametrize("cpus", [None, 3], ids=["this-host", "3-cpus"])
+@pytest.mark.parametrize("batch_size, n_batches", [(64, 1), (20, 2), (8, 5)])
+def test_predict_threads_equal_the_serial_sorted_loop(monkeypatch, cpus, batch_size,
+                                                      n_batches):
+    ds, model = mixed_length_dataset(), sharp_model()
+    assert -(-len(ds) // batch_size) == n_batches
+    if cpus is not None:
+        monkeypatch.setattr("catsent.training._available_cpus", lambda: cpus)
+    before = threading.active_count()
+    got = predict(model, ds, batch_size=batch_size)
+    assert threading.active_count() == before           # no thread outlives the call
+    assert np.array_equal(got, sorted_batch_probs(model, ds, batch_size))
+
+
+def test_predict_rows_are_exact_with_more_threads_than_cpus(monkeypatch):
+    ds, model = mixed_length_dataset(), sharp_model(2, HeadKind.CLS_ATT)
+    want = sorted_batch_probs(model, ds, 1)
+    monkeypatch.setattr("catsent.training._available_cpus", lambda: 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = predict(model, ds, batch_size=1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, want)
+
+
+class BatchFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("cpus", [2, 3], ids=["caller-fails", "worker-fails"])
+def test_an_error_in_one_batch_leaves_predict_with_its_type(monkeypatch, cpus):
+    """The last batch (5 rows) runs on the calling thread with 2 threads and
+    on a worker with 3."""
+    ds, model = mixed_length_dataset(), sharp_model()
+    real = catsent.training.forward_probs
+
+    def failing_forward_probs(model, batch, *args):
+        if batch.token_ids.shape[0] == 5:
+            raise BatchFailure("batch failed")
+        return real(model, batch, *args)
+
+    monkeypatch.setattr("catsent.training._available_cpus", lambda: cpus)
+    monkeypatch.setattr("catsent.training.forward_probs", failing_forward_probs)
+    before = threading.active_count()
+    with pytest.raises(BatchFailure):
+        predict(model, ds, batch_size=8)
+    assert threading.active_count() == before
 
 
 def test_logged_validation_loss_is_the_masked_cross_entropy_of_predict():
