@@ -77,6 +77,10 @@ def _model_from(meta: dict, npz) -> TrainedModel:
     polarities = PolaritySet(tuple(meta["polarities"]))
     vocab = Vocabulary(meta["vocab"])
     shapes = encoder_param_shapes(config, len(vocab), schema.n_cat + 1)
+    extra = sorted(k for k in npz.files if k.startswith("enc/") and k[4:] not in shapes)
+    if extra:
+        raise ConfigurationError(f"encoder arrays not named by the encoder config: "
+                                 f"{', '.join(extra)}")
     enc_params = {name: NdArray(npz["enc/" + name], copy=True) for name in shapes}
     bad = [f"{name} {p.shape} != {shapes[name]}" for name, p in enc_params.items()
            if p.shape != shapes[name]]

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -109,6 +110,17 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+    @cached_property
+    def gold_index(self) -> np.ndarray:
+        """[N, n_cat] polarity index of each sample's label per category, -1
+        where unlabeled; built on first use and read-only."""
+        index = {label: i for i, label in enumerate(self.polarities.labels)}
+        gold = np.array([[index.get(s.labels.get(c), -1) for c in self.schema.categories]
+                         for s in self.samples], dtype=np.intp)
+        gold = gold.reshape(len(self.samples), self.schema.n_cat)
+        gold.flags.writeable = False
+        return gold
 
 
 def _validate_sample(sample: Sample, schema: CategorySchema, polarities: PolaritySet) -> None:

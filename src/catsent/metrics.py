@@ -96,11 +96,9 @@ def build_prediction_set(dataset: Dataset, probs: np.ndarray,
     if probs.shape != (n, schema.n_cat, s):
         raise DataError(f"probabilities {probs.shape} do not match "
                         f"the dataset {(n, schema.n_cat, s)}")
-    index = {label: i for i, label in enumerate(dataset.polarities.labels)}
-    gold = [[index.get(sample.labels.get(c), -1) for c in cats] for sample in dataset.samples]
     cols = [schema.index(c) for c in cats]
     return PredictionSet(dataset.polarities, cats, arrays=(
-        probs[:, cols, :].reshape(n * k, s), np.array(gold, dtype=np.intp).reshape(n * k),
+        probs[:, cols, :].reshape(n * k, s), dataset.gold_index[:, cols].reshape(n * k),
         np.tile(np.arange(k), n), np.repeat(np.arange(n), k),
         tuple(sample.id for sample in dataset.samples)))
 

@@ -45,15 +45,74 @@ class NdArray:
         return f"NdArray(shape={self.data.shape})"
 
 
+class Lanes:
+    """The CPUs a tape's primitives may use: the calling thread and, inside
+    a ``with`` block, a pool of ``n - 1`` threads.
+
+    ``split`` cuts the rows of a batch into one contiguous slice per lane.
+    Each slice writes only its own rows of buffers made beforehand, and
+    every sum across rows stays outside the slices, so a result does not
+    depend on the lane count.
+    """
+
+    def __init__(self, n: int = 1):
+        self.n = max(n, 1)
+        self._pool = None
+
+    def __enter__(self) -> "Lanes":
+        if self.n > 1:
+            # imported on first use: a one-lane program need not pay for it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._pool = ThreadPoolExecutor(self.n - 1)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self._pool is not None:
+            self._pool.shutdown()
+            self._pool = None
+
+    def each(self, fn: Callable[[int], None], n: int | None = None) -> None:
+        """Run ``fn(k)`` for lanes k = 0 .. n - 1 (default all), lane 0 on
+        the calling thread; return when every lane has finished, raising
+        the first error."""
+        n = self.n if n is None else min(n, self.n)
+        futures = [self._pool.submit(fn, k) for k in range(1, n)]
+        try:
+            fn(0)
+        finally:
+            for f in futures:       # no lane may still write once the caller goes on
+                f.exception()
+        for f in futures:
+            f.result()
+
+    def split(self, rows: int, fn: Callable[[slice], None]) -> None:
+        """Run ``fn(s)`` over contiguous slices ``s`` that cover
+        ``range(rows)``, at most one per lane and one row at least; a single
+        lane gets ``slice(None)``."""
+        n = min(self.n, rows)
+        if n <= 1:
+            fn(slice(None))
+            return
+        cuts = [rows * k // n for k in range(n + 1)]
+        self.each(lambda k: fn(slice(cuts[k], cuts[k + 1])), n)
+
+
+_ONE_LANE = Lanes()
+
+
 class Tape:
     """Ordered record of primitive applications for one forward pass.
 
     Each entry holds the output array, the differentiable inputs, and a
-    closure computing input gradients from the output gradient. Confined to
-    one thread for one forward/backward pass.
+    closure computing input gradients from the output gradient. ``record``
+    and ``backward`` run on the one thread that owns the tape; a primitive
+    may hand row slices of its own arrays to the tape's ``lanes`` and
+    returns once they are done.
     """
 
-    def __init__(self):
+    def __init__(self, lanes: Lanes = _ONE_LANE):
+        self.lanes = lanes
         self._entries: list[tuple[NdArray, tuple[NdArray, ...], Callable]] = []
 
     def record(self, out: NdArray, inputs: tuple[NdArray, ...], backward: Callable) -> None:
@@ -83,6 +142,22 @@ def _record(tape: Tape | None, out: NdArray, inputs, backward) -> NdArray:
     if tape is not None:
         tape.record(out, tuple(inputs), backward)
     return out
+
+
+def _lanes(tape: Tape | None) -> Lanes:
+    """The lanes a primitive splits its rows over; untaped, it never splits."""
+    return _ONE_LANE if tape is None else tape.lanes
+
+
+# Handing a slice to another thread costs tens of microseconds, about what
+# a simple elementwise op takes over this many elements.
+_MIN_SPLIT = 1 << 14
+
+
+def _rows(x: np.ndarray) -> int:
+    """Rows of the leading (batch) axis to split; a vector, or an array too
+    small to be worth splitting, is one row."""
+    return x.shape[0] if x.ndim > 1 and x.size >= _MIN_SPLIT else 1
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -124,14 +199,32 @@ def matmul(a: NdArray, b: NdArray, tape: Tape | None = None) -> NdArray:
         raise DimensionError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = NdArray(np.matmul(a.data, b.data))
+    if tape is None or a.ndim != 3 or b.ndim != 2:
+        out = NdArray(np.matmul(a.data, b.data))
 
-    def backward(g):
-        ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        return ga, gb
+        def backward(g):
+            ga = _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+            gb = _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+            return ga, gb
 
-    return _record(tape, out, (a, b), backward)
+        return _record(tape, out, (a, b), backward)
+    # [B, T, d] @ [d, e]: one product per sample, on the tape's lanes; the
+    # weight gradient sums the [B, d, e] stack of per-sample xᵀg here, once
+    lanes, x, w = tape.lanes, a.data, b.data
+    y = np.empty(x.shape[:-1] + w.shape[-1:])
+    lanes.split(_rows(x), lambda s: np.matmul(x[s], w, out=y[s]))
+
+    def rows_backward(g):
+        gx, stack = np.empty_like(x), np.empty((len(x),) + w.shape)
+
+        def rows(s):
+            np.matmul(g[s], w.T, out=gx[s])
+            np.matmul(x[s].swapaxes(-1, -2), g[s], out=stack[s])
+
+        lanes.split(_rows(x), rows)
+        return gx, _unbroadcast(stack, w.shape)
+
+    return _record(tape, NdArray(y), (a, b), rows_backward)
 
 
 def reshape(a: NdArray, shape, tape: Tape | None = None) -> NdArray:
@@ -211,24 +304,41 @@ def gelu(a: NdArray, tape: Tape | None = None) -> NdArray:
     finite-difference checks are kink-free."""
     c = np.sqrt(2.0 / np.pi)
     x = a.data
-    xx = x * x
-    t = xx * x                       # tanh(c * (x + 0.044715 x³)), built in place
-    t *= 0.044715
-    t += x
-    t *= c
-    np.tanh(t, out=t)
-    if tape is None:                 # forward only: 0.5 x (1 + t) in xx's buffer
-        t += 1.0
-        np.multiply(x, 0.5, out=xx)
-        xx *= t
-        return NdArray(xx)
-    out = NdArray(0.5 * x * (1.0 + t))
+    xx, t = np.empty_like(x), np.empty_like(x)
+    y = xx if tape is None else np.empty_like(x)
+
+    def forward(s):
+        xs, xxs, ts = x[s], xx[s], t[s]
+        np.multiply(xs, xs, out=xxs)
+        np.multiply(xxs, xs, out=ts)     # tanh(c * (x + 0.044715 x³)), built in place
+        ts *= 0.044715
+        ts += xs
+        ts *= c
+        np.tanh(ts, out=ts)
+        if tape is None:                 # forward only: 0.5 x (1 + t) in xx's buffer
+            ts += 1.0
+            np.multiply(xs, 0.5, out=xxs)
+            xxs *= ts
+        else:
+            y[s] = 0.5 * xs * (1.0 + ts)
+
+    lanes = _lanes(tape)
+    lanes.split(_rows(x), forward)
+    if tape is None:
+        return NdArray(y)
 
     def backward(g):
-        dinner = c * (1.0 + 3 * 0.044715 * xx)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        gx = np.empty_like(x)
 
-    return _record(tape, out, (a,), backward)
+        def rows(s):
+            xs, ts = x[s], t[s]
+            dinner = c * (1.0 + 3 * 0.044715 * xx[s])
+            gx[s] = g[s] * (0.5 * (1.0 + ts) + 0.5 * xs * (1.0 - ts * ts) * dinner)
+
+        lanes.split(_rows(x), rows)
+        return (gx,)
+
+    return _record(tape, NdArray(y), (a,), backward)
 
 
 def softmax(x: NdArray, tape: Tape | None = None) -> NdArray:
@@ -303,8 +413,8 @@ def attention(q: NdArray, k: NdArray, v: NdArray, heads: int,
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
 
-    def split(t):                                    # [B, T, d] -> [B, h, T, dh]
-        return t.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+    def split(t):                                    # [b, T, d] -> [b, h, T, dh]
+        return t.reshape(len(t), T, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(t):                                    # [B, h, T, dh] -> [B, T, d]
         return t.transpose(0, 2, 1, 3).reshape(B, T, d)
@@ -323,27 +433,49 @@ def attention(q: NdArray, k: NdArray, v: NdArray, heads: int,
             _masked_exp_normalize(s)
             np.matmul(s, vh[:, h], out=ctx[:, h])
         return NdArray(merge(ctx))
-    p = np.matmul(qh, kh.transpose(0, 1, 3, 2))      # [B, h, T, T]
-    p *= c
-    p += np.where(key_mask > 0, 0.0, -np.inf)[:, None, None, :]
-    all_live = _masked_exp_normalize(p)
-    out = NdArray(merge(np.matmul(p, vh)))
+    # Taped: samples in row slices on the tape's lanes, each writing its own
+    # rows of the weights p [B, h, T, T] and of the head-split [B, T, h, dh]
+    # views of the results
+    lanes = tape.lanes
+    bias = np.where(key_mask > 0, 0.0, -np.inf)[:, None, None, :]
+    p = np.empty((B, heads, T, T))
+    y = np.empty((B, T, heads, dh))
+    live = []
+
+    def forward(s):
+        ps = p[s]
+        np.matmul(qh[s], kh[s].transpose(0, 1, 3, 2), out=ps)
+        ps *= c
+        ps += bias[s]
+        live.append(_masked_exp_normalize(ps))
+        y[s] = np.matmul(ps, vh[s]).transpose(0, 2, 1, 3)
+
+    lanes.split(_rows(q.data), forward)
+    all_live = all(live)              # one flag for the batch, as the backward needs
 
     def backward(g):
-        gh = split(g)
-        dv = np.matmul(p.swapaxes(-1, -2), gh)
-        ds = np.matmul(gh, vh.swapaxes(-1, -2))      # dL/dp, made dL/dscores in place
-        dot = (ds * p).sum(axis=-1, keepdims=True)
-        ds -= dot
-        ds *= p
-        if not all_live:
-            ds = np.where(key_mask[:, None, None, :] > 0, ds, 0.0)
-        ds *= c
-        dq = np.matmul(ds, kh)
-        dk = np.matmul(qh.swapaxes(-1, -2), ds).swapaxes(-1, -2)
-        return merge(dq), merge(dk), merge(dv)
+        gq, gv = np.empty((B, T, heads, dh)), np.empty((B, T, heads, dh))
+        # dk keeps the [B, h, dh, T] memory order of dsᵀq: the k projection's
+        # weight and bias sums run over it in that order
+        gk = np.empty((B, heads, dh, T))
 
-    return _record(tape, out, (q, k, v), backward)
+        def rows(s):
+            ps, gh = p[s], split(g[s])
+            gv[s] = np.matmul(ps.swapaxes(-1, -2), gh).transpose(0, 2, 1, 3)
+            ds = np.matmul(gh, vh[s].swapaxes(-1, -2))  # dL/dp, made dL/dscores in place
+            dot = (ds * ps).sum(axis=-1, keepdims=True)
+            ds -= dot
+            ds *= ps
+            if not all_live:
+                ds = np.where(key_mask[s, None, None, :] > 0, ds, 0.0)
+            ds *= c
+            gq[s] = np.matmul(ds, kh[s]).transpose(0, 2, 1, 3)
+            np.matmul(qh[s].swapaxes(-1, -2), ds, out=gk[s])
+
+        lanes.split(_rows(q.data), rows)
+        return tuple(t.reshape(B, T, d) for t in (gq, gk.transpose(0, 3, 1, 2), gv))
+
+    return _record(tape, NdArray(y.reshape(B, T, d)), (q, k, v), backward)
 
 
 def clamped_log(a: NdArray, floor: float = LOG_FLOOR, tape: Tape | None = None) -> NdArray:
@@ -358,9 +490,22 @@ def dropout(a: NdArray, rate: float, rng: np.random.Generator,
     """Inverted dropout; identity when rate == 0."""
     if rate <= 0.0:
         return a
-    keep = (rng.random(a.shape) >= rate) / (1.0 - rate)
-    out = NdArray(a.data * keep)
-    return _record(tape, out, (a,), lambda g: (g * keep,))
+    keep = rng.random(a.shape)       # drawn here, whatever the lanes
+    y = np.empty_like(keep)
+    lanes, rows = _lanes(tape), _rows(keep)
+
+    def forward(s):
+        np.divide(keep[s] >= rate, 1.0 - rate, out=keep[s])
+        np.multiply(a.data[s], keep[s], out=y[s])
+
+    lanes.split(rows, forward)
+
+    def backward(g):
+        gx = np.empty_like(keep)
+        lanes.split(rows, lambda s: np.multiply(g[s], keep[s], out=gx[s]))
+        return (gx,)
+
+    return _record(tape, NdArray(y), (a,), backward)
 
 
 def layer_norm(x: NdArray, gain: NdArray, bias: NdArray, eps: float = 1e-6,
@@ -370,22 +515,36 @@ def layer_norm(x: NdArray, gain: NdArray, bias: NdArray, eps: float = 1e-6,
     The variance is ``np.var``'s arithmetic on the one centred array that
     also becomes ``xhat``.
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xhat = x.data - mu
-    var = np.square(xhat).sum(axis=-1, keepdims=True) / x.shape[-1]
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat *= inv
+    X = x.data
+    xhat = np.empty_like(X)
+    inv = np.empty(X.shape[:-1] + (1,))
     # forward only, xhat is not kept and its buffer becomes the output
-    y = xhat * gain.data if tape is not None else np.multiply(xhat, gain.data, out=xhat)
-    y += bias.data
+    y = xhat if tape is None else np.empty_like(X)
+
+    def forward(s):
+        xh, inv_s = xhat[s], inv[s]
+        np.subtract(X[s], X[s].mean(axis=-1, keepdims=True), out=xh)
+        var = np.square(xh).sum(axis=-1, keepdims=True) / X.shape[-1]
+        np.divide(1.0, np.sqrt(var + eps), out=inv_s)
+        xh *= inv_s
+        ys = np.multiply(xh, gain.data, out=y[s])
+        ys += bias.data
+
+    lanes = _lanes(tape)
+    lanes.split(_rows(X), forward)
     out = NdArray(y)
 
     def backward(g):
-        n = x.shape[-1]
-        dxhat = g * gain.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = np.empty_like(X)
+
+        def rows(s):
+            xh = xhat[s]
+            dxhat = g[s] * gain.data
+            dx[s] = inv[s] * (dxhat
+                              - dxhat.mean(axis=-1, keepdims=True)
+                              - xh * (dxhat * xh).mean(axis=-1, keepdims=True))
+
+        lanes.split(_rows(X), rows)
         axes = tuple(range(g.ndim - 1))
         return dx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
 

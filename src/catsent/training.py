@@ -214,12 +214,12 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _valid_loss(model, inputs, mask, onehot) -> float:
+def _valid_loss(model, inputs, mask, onehot, lanes: nx.Lanes) -> float:
     """Masked cross-entropy of the eval-loop probabilities, averaged over
     samples; 0 for an empty set."""
     if not inputs:
         return 0.0
-    probs = NdArray(_predict_inputs(model, inputs))
+    probs = NdArray(_predict_inputs(model, inputs, lanes))
     return loss_from_probs(probs, mask, onehot, model, 0.0, None).item()
 
 
@@ -235,7 +235,9 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     """Mini-batch Adam with warmup/decay and early stopping on valid loss.
 
     Returns a model carrying the best-validation-epoch parameters. Fully
-    deterministic for a fixed config seed.
+    deterministic for a fixed config seed, on any number of CPUs: each
+    step's heavy primitives split the batch's rows across the available
+    CPUs, and every sum across rows runs on the calling thread.
     """
     if train_ds.schema != init.schema or train_ds.polarities != init.polarities:
         raise ConfigurationError("dataset schema does not match model schema")
@@ -267,43 +269,44 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
     best_epoch = -1
     since_best = 0
     step = 0
-    for epoch in range(config.epochs):
-        for idx in _epoch_batches(n, config.batch_size, rng):
-            t0 = perf_counter()
-            tape = Tape()
-            batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
-            probs = forward_probs(model, batch, True, drop_rng, tape)
-            loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
-                                   config.l2_lambda, tape, dec_rows)
-            if not np.isfinite(loss.item()):
-                raise DivergenceError(step)
-            tape.backward(loss, params)
-            # One sweep for the norm and the check: a non-finite entry makes
-            # the sum of squares non-finite. So can finite entries above ~1e154;
-            # only then are the entries themselves looked at.
-            grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params)
-            if not math.isfinite(grad_sq) and not all(np.isfinite(p.grad).all()
-                                                      for p in params):
-                raise DivergenceError(step, f"non-finite gradient at step {step}")
-            lr = lr_at(step, total_steps, config.learning_rate, config.warmup_ratio)
-            opt.step(lr)
-            step += 1
+    with nx.Lanes(_available_cpus()) as lanes:
+        for epoch in range(config.epochs):
+            for idx in _epoch_batches(n, config.batch_size, rng):
+                t0 = perf_counter()
+                tape = Tape(lanes)
+                batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
+                probs = forward_probs(model, batch, True, drop_rng, tape)
+                loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
+                                       config.l2_lambda, tape, dec_rows)
+                if not np.isfinite(loss.item()):
+                    raise DivergenceError(step)
+                tape.backward(loss, params)
+                # One sweep for the norm and the check: a non-finite entry makes
+                # the sum of squares non-finite. So can finite entries above ~1e154;
+                # only then are the entries themselves looked at.
+                grad_sq = sum(float(np.vdot(p.grad, p.grad)) for p in params)
+                if not math.isfinite(grad_sq) and not all(np.isfinite(p.grad).all()
+                                                          for p in params):
+                    raise DivergenceError(step, f"non-finite gradient at step {step}")
+                lr = lr_at(step, total_steps, config.learning_rate, config.warmup_ratio)
+                opt.step(lr)
+                step += 1
+                if log is not None:
+                    log.append({"step": step, "lr": lr, "loss": loss.item(),
+                                "split": "train", "grad_norm": math.sqrt(grad_sq),
+                                "ms": (perf_counter() - t0) * 1e3})
+            val = _valid_loss(model, va_inputs, va_mask, va_onehot, lanes)
             if log is not None:
-                log.append({"step": step, "lr": lr, "loss": loss.item(),
-                            "split": "train", "grad_norm": math.sqrt(grad_sq),
-                            "ms": (perf_counter() - t0) * 1e3})
-        val = _valid_loss(model, va_inputs, va_mask, va_onehot)
-        if log is not None:
-            log.append({"step": step, "lr": None, "loss": val, "split": "validation"})
-        if val < best_loss:
-            best_loss = val
-            best_params = [p.data.copy() for p in params]
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= config.patience:
-                break
+                log.append({"step": step, "lr": None, "loss": val, "split": "validation"})
+            if val < best_loss:
+                best_loss = val
+                best_params = [p.data.copy() for p in params]
+                best_epoch = epoch
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best >= config.patience:
+                    break
     if best_params is not None:
         for p, data in zip(params, best_params):
             p.data = data
@@ -341,48 +344,41 @@ def predict(model: TrainedModel, dataset: Dataset, batch_size: int = 64) -> np.n
     """[N, n_cat, s] probabilities, dropout disabled, deterministic."""
     if dataset.schema != model.schema or dataset.polarities != model.polarities:
         raise ConfigurationError("dataset schema does not match model schema")
-    return _predict_inputs(model, prepare_inputs(dataset, model), batch_size)
+    with nx.Lanes(_available_cpus()) as lanes:
+        return _predict_inputs(model, prepare_inputs(dataset, model), lanes, batch_size)
 
 
-def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput],
+def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.Lanes,
                     batch_size: int = 64) -> np.ndarray:
     """The eval loop: [N, n_cat, s] probabilities of prepared inputs, rows
     in input order.
 
     Batches are cut from the inputs stably sorted by kept sentence width, so
     each batch pads its sentences to a width close to their own. They run on
-    one thread per available CPU, the calling thread included: with n
-    threads, thread k runs batches k, k + n, ... Each batch writes only its
-    own rows of the output, so the result does not depend on the thread
-    count or on the order in which batches finish.
+    one lane per batch, up to every lane: with n lanes, lane k (lane 0 is the
+    calling thread) runs batches k, k + n, ... Each batch writes only its
+    own rows of the output, so the result does not depend on the lane count
+    or on the order in which batches finish. The batches run untaped, so
+    their primitives do not split them further.
     """
     order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))
     starts = range(0, len(inputs), batch_size)
-    n_threads = max(min(_available_cpus(), len(starts)), 1)
+    n = max(min(lanes.n, len(starts)), 1)
 
     def run(k: int) -> None:
-        for i in starts[k::n_threads]:
+        for i in starts[k::n]:
             idx = order[i:i + batch_size]
             batch = batch_inputs([inputs[j] for j in idx], model.vocab)
             out[idx] = forward_probs(model, batch, False, None, None).data
 
-    if n_threads == 1:
-        run(0)
-        return out
-    # imported on first use: a program that never runs two batches at once
-    # need not pay for it at start-up
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(n_threads - 1) as pool:
-        futures = [pool.submit(run, k) for k in range(1, n_threads)]
-        run(0)
-        for f in futures:
-            f.result()
+    lanes.each(run, n)
     return out
 
 
 def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the
+    platform has one."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:                 # no affinity call on this platform

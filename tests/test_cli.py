@@ -367,14 +367,18 @@ def _set_meta(arrays, meta):
                  "encoder arrays", id="encoder-matrix-wrong-shape"),
     pytest.param(lambda a, m: a.update({"enc/tok_emb": a["enc/tok_emb"][:-1]}),
                  "encoder arrays", id="tok-emb-rows-not-vocab-size"),
+    pytest.param(lambda a, m: _set_meta(a, {**m, "encoder_config": {**m["encoder_config"],
+                                                                     "layers": 1}}),
+                 "enc/l1.wq", id="meta-names-fewer-layers"),
 ])
 def test_cli_malformed_checkpoint_exits_2(tmp_path, edit, needle):
-    """An unshared 3-category checkpoint with its arrays or meta record edited."""
+    """An unshared 3-category, 2-layer checkpoint with its arrays or meta
+    record edited."""
     out, _ = workspace(tmp_path)
     schema, pol = load_schema(out / "schema.json")
     vocab = Vocabulary.build([s.text for s in load_dataset(out / "train.jsonl", schema,
                                                            pol).samples], schema)
-    enc = EncoderConfig(layers=1, heads=2, d=8, ff=16, max_len=32)
+    enc = EncoderConfig(layers=2, heads=2, d=8, ff=16, max_len=32)
     path = tmp_path / "edited.npz"
     save_model(fresh_model(schema, pol, vocab, enc, HeadKind.SEP, DecoderMode.UNSHARED, 0),
                path)

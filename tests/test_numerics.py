@@ -416,3 +416,98 @@ def test_masked_softmax_fast_path_equals_fallback(dead_row):
     want_p, want_gx = masked_softmax_fallback(x, mask, g)
     assert np.array_equal(p.data, want_p)
     assert np.array_equal(xv.grad, want_gx)
+
+
+# ---------------------------------------------------------------------------
+# row-split primitives: the same bits on any number of lanes
+# ---------------------------------------------------------------------------
+
+
+class CountingLanes(nx.Lanes):
+    """Lanes that remember the most lanes one call ran on."""
+
+    used = 1
+
+    def each(self, fn, n=None):
+        self.used = max(self.used, self.n if n is None else min(n, self.n))
+        super().each(fn, n)
+
+
+def lane_run(build, arrays, lanes):
+    """Output and input gradients of ``build(inputs, tape)`` on a tape with
+    ``lanes`` lanes, fed a fixed output gradient, and the lanes used."""
+    with CountingLanes(lanes) as ln:
+        tape = nx.Tape(ln)
+        inputs = [nx.NdArray(a.copy()) for a in arrays]
+        out = build(inputs, tape)
+        g = nx.NdArray(np.random.default_rng(1).normal(size=out.shape))
+        tape.backward(scalar_sum(nx.mul(out, g, tape), tape), inputs)
+    return [out.data] + [p.grad for p in inputs], ln.used
+
+
+def dead_last_sample(B, T, rng):
+    """Padded keys, and no live key at all in the last sample: only the last
+    lane holds it, and the other lanes' samples all have live keys."""
+    mask = padded_key_mask(B, T, rng)
+    mask[-1] = 0.0
+    return mask
+
+
+# rows of 64 x 256 = 2^14 entries: every batch of two or more rows is large
+# enough to split
+SPLIT_PRIMITIVES = {
+    "gelu": (lambda p, t: nx.gelu(p[0], t), lambda B: [(B, 64, 256)]),
+    "layer_norm": (lambda p, t: nx.layer_norm(p[0], p[1], p[2], tape=t),
+                   lambda B: [(B, 64, 256), (256,), (256,)]),
+    "matmul": (lambda p, t: nx.matmul(p[0], p[1], t), lambda B: [(B, 64, 256), (256, 8)]),
+    "dropout": (lambda p, t: nx.dropout(p[0], 0.3, np.random.default_rng(4), t),
+                lambda B: [(B, 64, 256)]),
+}
+for _kind, _mask in [("all-live", lambda B, T, rng: np.ones((B, T))),
+                     ("padded", padded_key_mask), ("dead-row", dead_last_sample)]:
+    SPLIT_PRIMITIVES["attention-" + _kind] = (
+        lambda p, t, mask=_mask: nx.attention(
+            p[0], p[1], p[2], 4, mask(len(p[0].data), 64, np.random.default_rng(2)), t),
+        lambda B: [(B, 64, 256)] * 3)
+
+
+@pytest.mark.parametrize("B", [1, 2, 5])
+@pytest.mark.parametrize("name", sorted(SPLIT_PRIMITIVES))
+def test_split_primitives_give_the_same_bits_on_1_2_and_3_lanes(name, B):
+    build, shapes = SPLIT_PRIMITIVES[name]
+    rng = np.random.default_rng(B)
+    arrays = [rng.normal(size=s) for s in shapes(B)]
+    want, _ = lane_run(build, arrays, 1)
+    for lanes in (2, 3):
+        results, used = lane_run(build, arrays, lanes)
+        assert used == min(lanes, B)                    # one row at least per lane
+        for got, ref in zip(results, want, strict=True):
+            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (lanes, name)
+
+
+def test_lanes_wait_for_every_lane_and_raise_a_lane_error():
+    seen = []
+
+    def fill(s):
+        if s.start == 4:
+            raise ZeroDivisionError("lane 2 failed")
+        seen.append((s.start, s.stop))
+
+    with nx.Lanes(3) as lanes:
+        lanes.split(7, lambda s: seen.append((s.start, s.stop)))
+        assert sorted(seen) == [(0, 2), (2, 4), (4, 7)]
+        seen.clear()
+        with pytest.raises(ZeroDivisionError):
+            lanes.split(7, fill)
+        assert sorted(seen) == [(0, 2), (2, 4)]
+        seen.clear()
+        lanes.split(2, lambda s: seen.append((s.start, s.stop)))   # fewer rows than lanes
+        assert sorted(seen) == [(0, 1), (1, 2)]
+
+
+def test_arrays_too_small_to_pay_for_a_hand_over_stay_on_one_lane():
+    with CountingLanes(2) as lanes:
+        nx.gelu(nx.NdArray(RNG.normal(size=(32, 16))), nx.Tape(lanes))     # a head's feature
+        assert lanes.used == 1
+        nx.gelu(nx.NdArray(RNG.normal(size=(32, 16, 32))), nx.Tape(lanes))
+        assert lanes.used == 2

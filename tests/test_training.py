@@ -167,6 +167,40 @@ def test_train_is_deterministic():
         assert na == nb and np.array_equal(pa.data, pb.data)
 
 
+def wide_model(head=HeadKind.SEP, mode=DecoderMode.SHARED):
+    """A model whose encoder arrays are large enough for a step to split
+    them across lanes at batch 16."""
+    ds = tiny_dataset()
+    vocab = Vocabulary.build([s.text for s in ds.samples], SCHEMA)
+    enc = EncoderConfig(layers=1, heads=2, d=64, ff=128, max_len=32, dropout=0.1)
+    return fresh_model(SCHEMA, POL, vocab, enc, head, mode, 0)
+
+
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_train_on_2_lanes_equals_train_on_1(monkeypatch, head):
+    """Each step's rows split across CPUs; every parameter and logged loss
+    stays bit for bit what one CPU gives."""
+    ds, va = mixed_length_dataset(), mixed_length_dataset(n=9, seed=6)
+    cfg = TrainConfig(learning_rate=1e-3, epochs=2, batch_size=16, seed=3)
+    split = []
+    real_each = nx.Lanes.each
+    monkeypatch.setattr(nx.Lanes, "each", lambda self, fn, n=None: (
+        split.append(self.n if n is None else min(n, self.n)), real_each(self, fn, n)))
+    runs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("catsent.training._available_cpus", lambda: cpus)
+        log = []
+        before = threading.active_count()
+        model = train(ds, va, wide_model(head, DecoderMode.UNSHARED), cfg, log)
+        assert threading.active_count() == before        # the step pool ends with train
+        runs.append((model, [r["loss"] for r in log]))
+    assert max(split) == 2                                # the 2-lane run did split
+    (one, one_log), (two, two_log) = runs
+    assert np.array_equal(one_log, two_log)
+    for (name, p1), (_, p2) in zip(one.param_items(), two.param_items()):
+        assert np.array_equal(p1.data, p2.data), name
+
+
 def test_train_does_not_mutate_init():
     ds = tiny_dataset(8)
     init = tiny_model()
@@ -436,9 +470,12 @@ class NanGradTape(nx.Tape):
 
 def test_nonfinite_gradient_raises_before_the_update(monkeypatch):
     monkeypatch.setattr("catsent.training.Tape", NanGradTape)
-    init = tiny_model()
+    monkeypatch.setattr("catsent.training._available_cpus", lambda: 2)
+    init = wide_model()
     log = []
+    before = threading.active_count()
     with pytest.raises(DivergenceError, match="gradient") as info:
-        train(tiny_dataset(8), tiny_dataset(4, seed=2), init,
-              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=4), log)
+        train(tiny_dataset(16), tiny_dataset(4, seed=2), init,
+              TrainConfig(learning_rate=1e-3, epochs=1, batch_size=16), log)
     assert info.value.step == 0 and log == []
+    assert threading.active_count() == before            # the step pool ended too
