@@ -156,7 +156,7 @@ def _open_data(path):
 def _parse_record(line: str, where: str) -> Sample:
     try:
         rec = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # ValueError: bad JSON, an over-long integer
         raise SchemaError(f"{where}: invalid JSON: {exc}") from exc
     if not isinstance(rec, dict):
         raise SchemaError(f"{where}: a record must be a JSON object")
@@ -173,10 +173,13 @@ def load_dataset(path, schema: CategorySchema, polarities: PolaritySet,
     """Read one-sample-per-line JSON; absent label keys stay absent."""
     samples = []
     with _open_data(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if line:
-                samples.append(_parse_record(line, f"{path}:{lineno}"))
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if line:
+                    samples.append(_parse_record(line, f"{path}:{lineno}"))
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason})") from exc
     return make_dataset(samples, schema, polarities, split_tag)
 
 
@@ -191,7 +194,7 @@ def load_schema(path) -> tuple[CategorySchema, PolaritySet]:
     with _open_data(path) as fh:
         try:
             rec = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also text that is not UTF-8
             raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(rec, dict) or "categories" not in rec or "polarities" not in rec:
         raise SchemaError(f"{path}: a schema is an object with 'categories' and 'polarities'")

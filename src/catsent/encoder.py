@@ -216,20 +216,21 @@ class EncoderConfig:
             raise ConfigurationError("all encoder dimensions must be positive")
 
 
+# one layer's parameters, in the order ``nx.transformer_layer`` takes them
+LAYER_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
+                "w1", "c1", "w2", "c2", "ln2_g", "ln2_b")
+
+
 def encoder_param_shapes(config: EncoderConfig, vocab_size: int,
                          n_segments: int) -> dict[str, tuple[int, ...]]:
     """Every encoder parameter's shape, in the order of its name."""
     d, ff = config.d, config.ff
     shapes = {"tok_emb": (vocab_size, d), "pos_emb": (config.max_len, d),
               "seg_emb": (n_segments, d), "emb_ln_g": (d,), "emb_ln_b": (d,)}
+    ffn = {"w1": (d, ff), "c1": (ff,), "w2": (ff, d)}
     for l in range(config.layers):
-        p = f"l{l}."
-        for name in ("wq", "wk", "wv", "wo"):
-            shapes[p + name] = (d, d)
-            shapes[p + name.replace("w", "b")] = (d,)
-        shapes.update({p + "ln1_g": (d,), p + "ln1_b": (d,), p + "w1": (d, ff),
-                       p + "c1": (ff,), p + "w2": (ff, d), p + "c2": (d,),
-                       p + "ln2_g": (d,), p + "ln2_b": (d,)})
+        for name in LAYER_PARAMS:
+            shapes[f"l{l}.{name}"] = ffn.get(name, (d, d) if name[0] == "w" else (d,))
     return shapes
 
 
@@ -258,24 +259,15 @@ class BatchStates:
     n_cat: int
 
 
-def _linear(x: NdArray, w: NdArray, b: NdArray, tape) -> NdArray:
-    return nx.add(nx.matmul(x, w, tape), b, tape)
-
-
-def _self_attention(x: NdArray, params, prefix: str, config: EncoderConfig,
-                    key_mask: np.ndarray, tape) -> NdArray:
-    q = _linear(x, params[prefix + "wq"], params[prefix + "bq"], tape)
-    k = _linear(x, params[prefix + "wk"], params[prefix + "bk"], tape)
-    v = _linear(x, params[prefix + "wv"], params[prefix + "bv"], tape)
-    ctx = nx.attention(q, k, v, config.heads, key_mask, tape)
-    return _linear(ctx, params[prefix + "wo"], params[prefix + "bo"], tape)
-
-
 def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
                  config: EncoderConfig, train_mode: bool = False,
                  rng: np.random.Generator | None = None,
                  tape: Tape | None = None) -> BatchStates:
-    """Run the transformer; slice final states into the four groups."""
+    """Run the transformer; slice final states into the four groups.
+
+    The embedding block and each layer are one tape entry apiece
+    (``nx.embedding``, ``nx.transformer_layer``).
+    """
     if batch.token_ids.shape[1] > config.max_len:
         raise ConfigurationError(
             f"sequence length {batch.token_ids.shape[1]} exceeds position table {config.max_len}")
@@ -283,23 +275,12 @@ def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
     if drop > 0.0 and rng is None:
         raise ConfigurationError("train_mode encoding needs an RNG for dropout")
 
-    x = nx.add(nx.add(nx.take(params["tok_emb"], batch.token_ids, 0, tape),
-                      nx.take(params["pos_emb"], batch.position_ids, 0, tape), tape),
-               nx.take(params["seg_emb"], batch.segment_ids, 0, tape), tape)
-    x = nx.layer_norm(x, params["emb_ln_g"], params["emb_ln_b"], tape=tape)
-    x = nx.dropout(x, drop, rng, tape)
-
+    x = nx.embedding([params["tok_emb"], params["pos_emb"], params["seg_emb"]],
+                     [batch.token_ids, batch.position_ids, batch.segment_ids],
+                     params["emb_ln_g"], params["emb_ln_b"], drop, rng, tape)
     for l in range(config.layers):
-        p = f"l{l}."
-        att = _self_attention(x, params, p, config, batch.mask, tape)
-        att = nx.dropout(att, drop, rng, tape)
-        x = nx.layer_norm(nx.add(x, att, tape),
-                          params[p + "ln1_g"], params[p + "ln1_b"], tape=tape)
-        ffn = _linear(nx.gelu(_linear(x, params[p + "w1"], params[p + "c1"], tape), tape),
-                      params[p + "w2"], params[p + "c2"], tape)
-        ffn = nx.dropout(ffn, drop, rng, tape)
-        x = nx.layer_norm(nx.add(x, ffn, tape),
-                          params[p + "ln2_g"], params[p + "ln2_b"], tape=tape)
+        x = nx.transformer_layer(x, [params[f"l{l}.{name}"] for name in LAYER_PARAMS],
+                                 config.heads, batch.mask, drop, rng, tape)
 
     B, T, d = x.shape
     W = batch.sent_width

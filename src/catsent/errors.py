@@ -33,5 +33,6 @@ class DivergenceError(CatsentError):
         super().__init__(message or f"non-finite loss at step {step}")
 
 
-class EmptySpanError(CatsentError):
-    """Attention requested over an empty span."""
+class EmptySpanError(DataError):
+    """Attention requested over an empty span (a sentence or category name
+    without a token)."""

@@ -149,11 +149,7 @@ def loss_from_probs(probs: NdArray, label_mask: np.ndarray, onehot: np.ndarray,
     W = model.dec.W
     rows = range(W.shape[0]) if dec_rows is None else np.flatnonzero(dec_rows)
     weights = [p for name, p in model.param_items() if not _is_bias(name) and p is not W]
-    weights += [nx.take(W, i, 0, tape) for i in rows]      # one term per row
-    sq = None
-    for p in weights:
-        term = nx.reduce_sum(nx.mul(p, p, tape), tape=tape)
-        sq = term if sq is None else nx.add(sq, term, tape)
+    sq = nx.sum_squares(weights, W, rows, tape)             # one term per decoder row
     return nx.add(data_term, nx.scale(sq, l2_lambda / 2.0, tape), tape)
 
 
@@ -234,9 +230,12 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
           config: TrainConfig, log: list | None = None) -> TrainedModel:
     """Mini-batch Adam with warmup/decay and early stopping on valid loss.
 
-    Returns a model carrying the best-validation-epoch parameters. Fully
-    deterministic for a fixed config seed, on any number of CPUs: each
-    step's heavy primitives split the batch's rows across the available
+    Returns a model carrying the parameters of the epoch with the lowest
+    validation loss among the epochs it ran; ``best_valid_loss`` is that
+    loss, the lowest one logged. The model it starts from is never scored
+    as a candidate, so the result can be worse on validation than ``init``.
+    Fully deterministic for a fixed config seed, on any number of CPUs:
+    each step's encoder layers split the batch's rows across the available
     CPUs, and every sum across rows runs on the calling thread.
     """
     if train_ds.schema != init.schema or train_ds.polarities != init.polarities:
@@ -326,7 +325,12 @@ def run_incremental(source_train: Dataset, source_valid: Dataset,
                     config_tgt: TrainConfig,
                     log: list | None = None) -> tuple[TrainedModel, TrainedModel]:
     """Stage 1 on Sample-Source from fresh init; stage 2 fine-tunes on
-    Sample-Target with a fresh optimizer and schedule."""
+    Sample-Target with a fresh optimizer and schedule.
+
+    Stage 2 returns the best of its own epochs (``train``'s rule): it does
+    not fall back to the stage-1 model, even when every stage-2 epoch
+    scores worse on the target validation set than that model.
+    """
     if source_train.schema != target_train.schema:
         raise ConfigurationError("source and target stages use different schemas")
     source_model = train(source_train, source_valid, init, config_src, log)

@@ -9,14 +9,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import catsent
 from catsent.checkpoint import load_model, save_model
 from catsent.cli import ExperimentConfig, main
 from catsent.convert import convert_semeval14, convert_sentihood
-from catsent.data import load_dataset, load_schema
+from catsent.data import CategorySchema, PolaritySet, load_dataset, load_schema
 from catsent.encoder import EncoderConfig, Vocabulary
-from catsent.errors import ConfigurationError, DataError
+from catsent.errors import ConfigurationError, DataError, SchemaError
 from catsent.experiments import (Corpus, run_incremental_pipeline, run_mix_pipeline,
                                  run_plain_pipeline)
 from catsent.heads import DecoderMode, HeadKind
@@ -433,3 +435,69 @@ def test_cli_train_logs_step_time_grad_norm_and_run_facts(tmp_path):
     assert all(v > 0 for v in report["wall_s"].values())
     assert report["machine"]["numpy"] == np.__version__
     assert report["machine"]["nproc"] >= 1 and report["machine"]["blas"]
+
+
+EVAL_SCHEMA = CategorySchema(("food", "service"))
+EVAL_POLARITIES = PolaritySet(("positive", "negative", "none"))
+
+
+@pytest.fixture(scope="module")
+def eval_checkpoint(tmp_path_factory):
+    """A tiny sep-sent-att checkpoint, saved once for every example."""
+    path = tmp_path_factory.mktemp("eval") / "model.npz"
+    vocab = Vocabulary.build(["the food was great", "service awful"], EVAL_SCHEMA)
+    enc = EncoderConfig(layers=1, heads=2, d=8, ff=16, max_len=16)
+    save_model(fresh_model(EVAL_SCHEMA, EVAL_POLARITIES, vocab, enc, HeadKind.SEP_SENT_ATT,
+                           DecoderMode.SHARED, 0), path)
+    return path
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                max_size=3),
+    max_leaves=6)
+WORDS = st.sampled_from(["the", "food", "was", "great", "service", "awful", "", "!!"])
+RECORDS = st.fixed_dictionaries({}, optional={
+    "id": st.text(max_size=4) | st.integers(0, 3) | JSON_VALUES,
+    "text": st.lists(WORDS, max_size=4).map(" ".join) | JSON_VALUES,
+    "labels": st.dictionaries(st.sampled_from(["food", "service", "drinks"]),
+                              st.sampled_from(["positive", "negative", "none", "meh"])
+                              | JSON_VALUES, max_size=3) | JSON_VALUES,
+    "extra": JSON_VALUES})
+LINES = st.one_of(
+    RECORDS.map(json.dumps),                                  # right or wrong keys and types
+    JSON_VALUES.map(json.dumps),                              # any JSON value
+    st.text(max_size=20),                                     # mostly not JSON
+    st.sampled_from(["", "   ", "\t"]),                      # blank lines
+).map(lambda line: line.encode()) | st.binary(max_size=8)     # bytes: often not UTF-8
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(lines=st.lists(LINES, max_size=5))
+def test_the_loader_and_the_cli_never_traceback(eval_checkpoint, tmp_path, capsys, lines):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        load_dataset(path, EVAL_SCHEMA, EVAL_POLARITIES)
+    except (SchemaError, DataError):
+        pass
+    assert main(["eval", "--checkpoint", str(eval_checkpoint), "--dataset", str(path)]) in (0, 2, 3)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("data, needle", [
+    pytest.param(b'{"id": "a", "text": "food", "labels": {}}\n\xff\xfe\n', "UTF-8",
+                 id="not-utf-8"),
+    pytest.param(b'{"id": ' + b"1" * 5000 + b', "text": "food", "labels": {}}\n',
+                 "invalid JSON", id="integer-over-the-digit-limit"),
+    pytest.param(b"[" * 100000 + b"]" * 100000 + b"\n", "invalid JSON", id="nested-too-deep"),
+    pytest.param(b'{"id": "a", "text": "!!", "labels": {}}\n', "span is empty",
+                 id="sentence-without-a-token"),
+])
+def test_cli_eval_of_a_dataset_that_used_to_escape_exits_3(eval_checkpoint, tmp_path, data,
+                                                           needle):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(data)
+    assert_exit(run_cli("eval", "--checkpoint", eval_checkpoint, "--dataset", path), 3, needle)

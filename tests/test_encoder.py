@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import catsent.numerics as nx
 from catsent.data import CategorySchema
-from catsent.encoder import (EncoderConfig, Vocabulary, assemble_input,
+from catsent.encoder import (LAYER_PARAMS, EncoderConfig, Vocabulary, assemble_input,
                              batch_inputs, encode_batch,
                              encoder_param_names, init_encoder_params,
                              tokenize, word_tokens)
 from catsent.errors import ConfigurationError
-from test_numerics import attention_subgraph
+from test_numerics import attention_subgraph, embedding_chain, layer_chain
 
 SCHEMA = CategorySchema(("food", "service"))
 TEXTS = ["the food was great", "service terrible honestly",
@@ -176,32 +176,60 @@ def test_encoder_gradients_flow_to_embeddings():
             assert rows[tok_id] == 0.0
 
 
-def test_fused_attention_matches_the_subgraph_in_every_parameter_gradient(monkeypatch):
+def encoder_chain(batch, params, config, tape, attention):
+    """The encoder as primitives: the embedding and layer chains, then the
+    same output slices as ``encode_batch``."""
+    x = embedding_chain([params["tok_emb"], params["pos_emb"], params["seg_emb"]],
+                        [batch.token_ids, batch.position_ids, batch.segment_ids],
+                        params["emb_ln_g"], params["emb_ln_b"], 0.0, None, tape)
+    for l in range(config.layers):
+        x = layer_chain(x, [params[f"l{l}.{n}"] for n in LAYER_PARAMS], config.heads,
+                        batch.mask, 0.0, None, tape, attention)
+    B, T, d = x.shape
+    W = batch.sent_width
+    return [nx.reshape(nx.take(x, [0], 1, tape), (B, d), tape),
+            nx.take(x, list(range(1, 1 + W)), 1, tape),
+            nx.take(x, batch.sep_positions, 1, tape)] + [
+        nx.take(x, list(range(a, b)), 1, tape) for a, b in batch.cat_spans]
+
+
+def test_fused_attention_matches_the_subgraph_in_every_parameter_gradient():
+    """The encoder's layer ops against the primitive chain with attention
+    built from primitives: the same states and, on any lane count, every
+    parameter gradient."""
     config = EncoderConfig(layers=2, heads=4, d=32, ff=64, max_len=32, dropout=0.0)
     params = init_encoder_params(config, len(VOCAB), SCHEMA.n_cat + 1,
                                  np.random.default_rng(3))
     batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
     assert (batch.mask == 0).any()        # padded keys are exercised
 
-    def run():
-        tape = nx.Tape()
-        st = encode_batch(batch, params, config, tape=tape)
-        loss = None
-        for state in [st.h_cls, st.H_sent, st.H_sep] + st.H_cat:
-            w = nx.NdArray(np.random.default_rng(state.data.size).normal(size=state.shape))
-            term = nx.reduce_sum(nx.mul(state, w, tape), tape=tape)
-            loss = term if loss is None else nx.add(loss, term, tape)
-        tape.backward(loss, list(params.values()))
-        return st, {n: p.grad for n, p in params.items()}, len(tape._entries)
+    def run(states_of, n_lanes):
+        with nx.Lanes(n_lanes) as ln:
+            tape = nx.Tape(ln)
+            states = states_of(tape)
+            loss = None
+            for state in states:
+                w = nx.NdArray(np.random.default_rng(state.data.size).normal(size=state.shape))
+                term = nx.reduce_sum(nx.mul(state, w, tape), tape=tape)
+                loss = term if loss is None else nx.add(loss, term, tape)
+            tape.backward(loss, list(params.values()))
+        return states, {n: p.grad for n, p in params.items()}, len(tape._entries)
 
-    fused_states, fused, fused_entries = run()
-    monkeypatch.setattr(nx, "attention", attention_subgraph)
-    ref_states, ref, ref_entries = run()
-    assert fused_entries == ref_entries - 12 * config.layers
-    assert np.array_equal(fused_states.H_sent.data, ref_states.H_sent.data)
-    for name in ref:
-        if name.endswith(".bk"):
-            # true gradient 0 (a key bias shifts each score row by a constant)
-            assert np.allclose(fused[name], ref[name], atol=1e-12, rtol=0), name
-        else:
-            assert np.array_equal(fused[name], ref[name]), name
+    def fused_states(tape):
+        st = encode_batch(batch, params, config, tape=tape)
+        return [st.h_cls, st.H_sent, st.H_sep] + st.H_cat
+
+    ref_states, ref, ref_entries = run(
+        lambda tape: encoder_chain(batch, params, config, tape, attention_subgraph), 1)
+    for lanes in (1, 3):
+        states, fused, fused_entries = run(fused_states, lanes)
+        # 6 embedding entries and 30 per layer (13 of them the attention subgraph)
+        assert fused_entries == ref_entries - 5 - 29 * config.layers
+        for got, want in zip(states, ref_states, strict=True):
+            assert np.array_equal(got.data, want.data)
+        for name in ref:
+            if name.endswith(".bk"):
+                # true gradient 0 (a key bias shifts each score row by a constant)
+                assert np.allclose(fused[name], ref[name], atol=1e-12, rtol=0), name
+            else:
+                assert np.array_equal(fused[name], ref[name]), name

@@ -419,7 +419,7 @@ def test_masked_softmax_fast_path_equals_fallback(dead_row):
 
 
 # ---------------------------------------------------------------------------
-# row-split primitives: the same bits on any number of lanes
+# layer ops against the primitive chains they replace, on 1, 2 and 3 lanes
 # ---------------------------------------------------------------------------
 
 
@@ -433,18 +433,6 @@ class CountingLanes(nx.Lanes):
         super().each(fn, n)
 
 
-def lane_run(build, arrays, lanes):
-    """Output and input gradients of ``build(inputs, tape)`` on a tape with
-    ``lanes`` lanes, fed a fixed output gradient, and the lanes used."""
-    with CountingLanes(lanes) as ln:
-        tape = nx.Tape(ln)
-        inputs = [nx.NdArray(a.copy()) for a in arrays]
-        out = build(inputs, tape)
-        g = nx.NdArray(np.random.default_rng(1).normal(size=out.shape))
-        tape.backward(scalar_sum(nx.mul(out, g, tape), tape), inputs)
-    return [out.data] + [p.grad for p in inputs], ln.used
-
-
 def dead_last_sample(B, T, rng):
     """Padded keys, and no live key at all in the last sample: only the last
     lane holds it, and the other lanes' samples all have live keys."""
@@ -453,36 +441,228 @@ def dead_last_sample(B, T, rng):
     return mask
 
 
-# rows of 64 x 256 = 2^14 entries: every batch of two or more rows is large
-# enough to split
+KEY_MASKS = {"all-live": lambda B, T, rng: np.ones((B, T)), "padded": padded_key_mask,
+             "dead-row": dead_last_sample}
+
+
+def embedding_chain(tables, indices, gain, bias, rate, rng, tape):
+    """The embedding block as primitives: three takes, two adds, layer norm,
+    dropout."""
+    x = None
+    for table, idx in zip(tables, indices):
+        rows = nx.take(table, idx, 0, tape)
+        x = rows if x is None else nx.add(x, rows, tape)
+    return nx.dropout(nx.layer_norm(x, gain, bias, tape=tape), rate, rng, tape)
+
+
+def layer_chain(x, weights, heads, key_mask, rate, rng, tape, attention=nx.attention):
+    """One post-norm transformer layer as primitives, one tape entry per op."""
+    wq, bq, wk, bk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2, b2 = weights
+
+    def linear(h, w, b):
+        return nx.add(nx.matmul(h, w, tape), b, tape)
+
+    ctx = attention(linear(x, wq, bq), linear(x, wk, bk), linear(x, wv, bv),
+                    heads, key_mask, tape)
+    att = nx.dropout(linear(ctx, wo, bo), rate, rng, tape)
+    x = nx.layer_norm(nx.add(x, att, tape), g1, b1, tape=tape)
+    ffn = nx.dropout(linear(nx.gelu(linear(x, w1, c1), tape), w2, c2), rate, rng, tape)
+    return nx.layer_norm(nx.add(x, ffn, tape), g2, b2, tape=tape)
+
+
+def layer_arrays(B, T, d, ff, rng):
+    """A layer's input and its 16 weights, biases and layer-norm gains and
+    offsets, all away from their initial values."""
+    shapes = [(d, d), (d,)] * 4 + [(d,), (d,), (d, ff), (ff,), (ff, d), (d,), (d,), (d,)]
+    return [rng.normal(size=(B, T, d))] + [rng.normal(scale=0.3, size=s) for s in shapes]
+
+
+def op_run(build, arrays, lanes):
+    """Output and the gradients of every array of ``build(arrays, tape)`` on
+    a tape with ``lanes`` lanes, fed a fixed output gradient, with the tape
+    entries and the most lanes one hand-over used."""
+    with CountingLanes(lanes) as ln:
+        tape = nx.Tape(ln)
+        inputs = [nx.NdArray(a.copy()) for a in arrays]
+        out = build(inputs, tape)
+        entries = len(tape._entries)
+        g = nx.NdArray(np.random.default_rng(1).normal(size=out.shape))
+        tape.backward(scalar_sum(nx.mul(out, g, tape), tape), inputs)
+    return [out.data] + [p.grad for p in inputs], entries, ln.used
+
+
+def assert_same_bits(results, want, what):
+    for i, (got, ref) in enumerate(zip(results, want, strict=True)):
+        assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (what, i)
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("mask_kind", sorted(KEY_MASKS))
+@pytest.mark.parametrize("B", [1, 2, 5])
+def test_transformer_layer_equals_the_primitive_chain_on_1_2_and_3_lanes(B, mask_kind, rate):
+    T, d, ff, heads = 12, 16, 24, 4
+    rng = np.random.default_rng(B)
+    arrays = layer_arrays(B, T, d, ff, rng)
+    mask = KEY_MASKS[mask_kind](B, T, rng)
+
+    def op(p, tape):
+        return nx.transformer_layer(p[0], p[1:], heads, mask, rate,
+                                    np.random.default_rng(4), tape)
+
+    want, chain_entries, _ = op_run(
+        lambda p, tape: layer_chain(p[0], p[1:], heads, mask, rate,
+                                    np.random.default_rng(4), tape), arrays, 1)
+    assert chain_entries == 18 + 2 * (rate > 0)
+    for lanes in (1, 2, 3):
+        results, entries, used = op_run(op, arrays, lanes)
+        assert entries == 1 and used == min(lanes, B)
+        assert_same_bits(results, want, lanes)
+    untaped = nx.transformer_layer(nx.NdArray(arrays[0]), [nx.NdArray(a) for a in arrays[1:]],
+                                   heads, mask, rate, np.random.default_rng(4)).data
+    assert untaped.tobytes() == want[0].tobytes()
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.2], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("B", [1, 2, 5])
+def test_embedding_equals_the_primitive_chain_on_1_2_and_3_lanes(B, rate):
+    T, d = 12, 16
+    rng = np.random.default_rng(B)
+    indices = [rng.integers(0, n, size=(B, T)) for n in (20, T, 3)]   # repeats in each
+    arrays = ([rng.normal(size=(n, d)) for n in (20, T, 3)]
+              + [rng.normal(size=d), rng.normal(size=d)])
+
+    def chain(p, tape):
+        return embedding_chain(p[:3], indices, p[3], p[4], rate, np.random.default_rng(4), tape)
+
+    def op(p, tape):
+        return nx.embedding(p[:3], indices, p[3], p[4], rate, np.random.default_rng(4), tape)
+
+    want, chain_entries, _ = op_run(chain, arrays, 1)
+    assert chain_entries == 6 + (rate > 0)
+    for lanes in (1, 2, 3):
+        results, entries, used = op_run(op, arrays, lanes)
+        assert entries == 1 and used == min(lanes, B)
+        assert_same_bits(results, want, lanes)
+    params = [nx.NdArray(a) for a in arrays]
+    untaped = nx.embedding(params[:3], indices, params[3], params[4], rate,
+                           np.random.default_rng(4)).data
+    assert untaped.tobytes() == want[0].tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the kernels the layer ops split: the same bits on any number of lanes
+# ---------------------------------------------------------------------------
+
+
+def primitive_run(build, arrays, g):
+    """Output and input gradients of the public primitive on a plain tape."""
+    inputs = [nx.NdArray(a.copy()) for a in arrays]
+    tape = nx.Tape()
+    out = build(inputs, tape)
+    tape.backward(scalar_sum(nx.mul(out, nx.NdArray(g), tape), tape), inputs)
+    return [out.data] + [p.grad for p in inputs]
+
+
+def split_gelu(lanes, g, x):
+    xx, t, y, dx = (np.empty_like(x) for _ in range(4))
+    lanes.split(len(x), lambda s: nx._gelu(x[s], xx[s], t[s], y[s]))
+
+    def back(s):
+        dx[s] = nx._gelu_grad(g[s], x[s], xx[s], t[s])
+
+    lanes.split(len(x), back)
+    return [y, dx]
+
+
+def split_layer_norm(lanes, g, x, gain, bias):
+    xhat, y, dx = np.empty_like(x), np.empty_like(x), np.empty_like(x)
+    inv = np.empty(x.shape[:-1] + (1,))
+    lanes.split(len(x), lambda s: nx._layer_norm(x[s], gain, bias, xhat[s], inv[s], y[s],
+                                                 nx.LN_EPS))
+
+    def back(s):
+        dx[s] = nx._layer_norm_grad(g[s], gain, xhat[s], inv[s])
+
+    lanes.split(len(x), back)
+    return [y, dx, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))]
+
+
+def split_matmul(lanes, g, x, w):
+    y, gx = np.empty(g.shape), np.empty_like(x)
+    stack = np.empty((len(x),) + w.shape)
+    lanes.split(len(x), lambda s: np.matmul(x[s], w, out=y[s]))
+    lanes.split(len(x), lambda s: nx._linear_grad(g[s], x[s], w, gx[s], stack[s]))
+    return [y, gx, stack.sum(axis=0)]
+
+
+def split_dropout(lanes, g, x):
+    keep = np.random.default_rng(4).random(x.shape)
+    y, dx = np.empty_like(x), np.empty_like(x)
+
+    def forward(s):
+        np.multiply(x[s], nx._keep(keep[s], 0.3), out=y[s])
+
+    lanes.split(len(x), forward)
+    lanes.split(len(x), lambda s: np.multiply(g[s], keep[s], out=dx[s]))
+    return [y, dx]
+
+
+def split_attention(mask):
+    def run(lanes, g, q, k, v):
+        B, T, d = q.shape
+        heads, c = 4, 1.0 / np.sqrt(d // 4)
+        qh, kh, vh = (nx._heads(a, heads) for a in (q, k, v))
+        bias = nx._key_bias(mask)
+        p, y = np.empty((B, heads, T, T)), np.empty((B, T, heads, d // heads))
+        live = []
+        lanes.split(B, lambda s: live.append(
+            nx._attention(qh[s], kh[s], vh[s], bias[s], c, p[s], y[s])))
+        dead = None if all(live) else mask
+        gq, gv = np.empty_like(y), np.empty_like(y)
+        gk = np.empty((B, heads, d // heads, T))
+        lanes.split(B, lambda s: nx._attention_grad(
+            g[s], p[s], qh[s], kh[s], vh[s], c, None if dead is None else dead[s],
+            gq[s], gk[s], gv[s]))
+        return [y.reshape(B, T, d), *nx._merged(gq, gk, gv)]
+    return run
+
+
+# each case: (the public primitive, the layer ops' row-split use of its
+# kernel, the shapes of its arrays for B samples)
 SPLIT_PRIMITIVES = {
-    "gelu": (lambda p, t: nx.gelu(p[0], t), lambda B: [(B, 64, 256)]),
-    "layer_norm": (lambda p, t: nx.layer_norm(p[0], p[1], p[2], tape=t),
-                   lambda B: [(B, 64, 256), (256,), (256,)]),
-    "matmul": (lambda p, t: nx.matmul(p[0], p[1], t), lambda B: [(B, 64, 256), (256, 8)]),
+    "gelu": (lambda p, t: nx.gelu(p[0], t), split_gelu, lambda B: [(B, 8, 32)]),
+    "layer_norm": (lambda p, t: nx.layer_norm(p[0], p[1], p[2], tape=t), split_layer_norm,
+                   lambda B: [(B, 8, 32), (32,), (32,)]),
+    "matmul": (lambda p, t: nx.matmul(p[0], p[1], t), split_matmul,
+               lambda B: [(B, 8, 32), (32, 6)]),
     "dropout": (lambda p, t: nx.dropout(p[0], 0.3, np.random.default_rng(4), t),
-                lambda B: [(B, 64, 256)]),
+                split_dropout, lambda B: [(B, 8, 32)]),
 }
-for _kind, _mask in [("all-live", lambda B, T, rng: np.ones((B, T))),
-                     ("padded", padded_key_mask), ("dead-row", dead_last_sample)]:
+for _kind, _mask in KEY_MASKS.items():
     SPLIT_PRIMITIVES["attention-" + _kind] = (
         lambda p, t, mask=_mask: nx.attention(
-            p[0], p[1], p[2], 4, mask(len(p[0].data), 64, np.random.default_rng(2)), t),
-        lambda B: [(B, 64, 256)] * 3)
+            p[0], p[1], p[2], 4, mask(len(p[0].data), 16, np.random.default_rng(2)), t),
+        lambda lanes, g, *a, mask=_mask: split_attention(
+            mask(len(a[0]), 16, np.random.default_rng(2)))(lanes, g, *a),
+        lambda B: [(B, 16, 32)] * 3)
 
 
 @pytest.mark.parametrize("B", [1, 2, 5])
 @pytest.mark.parametrize("name", sorted(SPLIT_PRIMITIVES))
 def test_split_primitives_give_the_same_bits_on_1_2_and_3_lanes(name, B):
-    build, shapes = SPLIT_PRIMITIVES[name]
+    """Each kernel run on row slices across lanes, as the layer ops run it
+    (sums across rows on the calling thread), gives the public primitive's
+    output and gradients bit for bit."""
+    build, split, shapes = SPLIT_PRIMITIVES[name]
     rng = np.random.default_rng(B)
     arrays = [rng.normal(size=s) for s in shapes(B)]
-    want, _ = lane_run(build, arrays, 1)
-    for lanes in (2, 3):
-        results, used = lane_run(build, arrays, lanes)
-        assert used == min(lanes, B)                    # one row at least per lane
-        for got, ref in zip(results, want, strict=True):
-            assert got.shape == ref.shape and got.tobytes() == ref.tobytes(), (lanes, name)
+    g = np.random.default_rng(1).normal(size=build([nx.NdArray(a) for a in arrays], None).shape)
+    want = primitive_run(build, arrays, g)
+    for lanes in (1, 2, 3):
+        with CountingLanes(lanes) as ln:
+            results = split(ln, g, *arrays)
+        assert ln.used == min(lanes, B)                   # one row at least per lane
+        assert_same_bits(results, want, (lanes, name))
 
 
 def test_lanes_wait_for_every_lane_and_raise_a_lane_error():
@@ -506,8 +686,16 @@ def test_lanes_wait_for_every_lane_and_raise_a_lane_error():
 
 
 def test_arrays_too_small_to_pay_for_a_hand_over_stay_on_one_lane():
+    """One primitive's work does not pay for a hand-over, whatever its
+    size: primitives run on the calling thread, and only the layer ops,
+    a whole encoder block each, split their rows."""
     with CountingLanes(2) as lanes:
         nx.gelu(nx.NdArray(RNG.normal(size=(32, 16))), nx.Tape(lanes))     # a head's feature
-        assert lanes.used == 1
         nx.gelu(nx.NdArray(RNG.normal(size=(32, 16, 32))), nx.Tape(lanes))
+        nx.attention(*(nx.NdArray(RNG.normal(size=(4, 6, 8))) for _ in range(3)), 2,
+                     np.ones((4, 6)), nx.Tape(lanes))
+        assert lanes.used == 1
+        arrays = layer_arrays(4, 6, 8, 16, RNG)
+        nx.transformer_layer(nx.NdArray(arrays[0]), [nx.NdArray(a) for a in arrays[1:]], 2,
+                             np.ones((4, 6)), 0.1, np.random.default_rng(0), nx.Tape(lanes))
         assert lanes.used == 2

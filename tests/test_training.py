@@ -126,6 +126,50 @@ def test_batch_loss_gradient_check():
     assert err < 1e-5, err
 
 
+def sum_squares_chain(arrays, stacked, rows, tape):
+    """The L2 sum of squares as primitives: mul, reduce_sum and add per
+    array, each decoder row taken as its own term."""
+    sq = None
+    for p in list(arrays) + [nx.take(stacked, i, 0, tape) for i in rows]:
+        term = nx.reduce_sum(nx.mul(p, p, tape), tape=tape)
+        sq = term if sq is None else nx.add(sq, term, tape)
+    return sq
+
+
+@pytest.mark.parametrize("mode, dec_rows", [(DecoderMode.SHARED, None),
+                                            (DecoderMode.UNSHARED, [False, True]),
+                                            (DecoderMode.UNSHARED, None)],
+                         ids=["shared", "unshared-frozen-row", "unshared"])
+def test_l2_penalty_is_one_tape_entry_equal_to_the_per_array_chain(monkeypatch, mode,
+                                                                   dec_rows):
+    ds = tiny_dataset(6)
+    mask, onehot = label_arrays(ds.samples, SCHEMA, POL)
+    batch = batch_inputs(prepare_inputs(ds, tiny_model()), tiny_model().vocab)
+    rows = None if dec_rows is None else np.array(dec_rows)
+    runs = []
+    for sum_squares in (nx.sum_squares, sum_squares_chain):
+        monkeypatch.setattr(nx, "sum_squares", sum_squares)
+        model = sharp_model(4, HeadKind.SEP_SENT_ATT, mode)
+        tape = nx.Tape()
+        probs = forward_probs(model, batch, True, np.random.default_rng(2), tape)
+        before = len(tape._entries)
+        loss = loss_from_probs(probs, mask, onehot, model, 0.03, tape, rows)
+        tape.backward(loss, model.params())
+        runs.append((loss.item(), [p.grad for p in model.params()],
+                     len(tape._entries) - before))
+    (loss, grads, entries), (want_loss, want_grads, chain_entries) = runs
+    assert loss == want_loss
+    for got, want in zip(grads, want_grads, strict=True):
+        assert got.tobytes() == want.tobytes()
+    assert entries == 4 + 3                 # the data term; sum_squares, scale, add
+    model = tiny_model(mode)
+    n_rows = model.dec.W.shape[0] if rows is None else int(rows.sum())
+    n_terms = n_rows + sum(not catsent.training._is_bias(name) and p is not model.dec.W
+                           for name, p in model.param_items())
+    # mul and reduce_sum per term, the adds between terms, a take per row
+    assert chain_entries == 4 + 3 * n_terms - 1 + n_rows + 2
+
+
 def test_lr_schedule_pointwise():
     total, peak, ratio = 100, 2.0, 0.25
     warmup = 25
@@ -199,6 +243,60 @@ def test_train_on_2_lanes_equals_train_on_1(monkeypatch, head):
     assert np.array_equal(one_log, two_log)
     for (name, p1), (_, p2) in zip(one.param_items(), two.param_items()):
         assert np.array_equal(p1.data, p2.data), name
+
+
+def test_a_2_lane_training_step_hands_over_twice_per_layer_op(monkeypatch):
+    """Forward and backward, the embedding and each layer hand the batch's
+    rows to the lanes once; no public primitive and no tape record runs off
+    the calling thread."""
+    layers = 2
+    ds = tiny_dataset(16)
+    model = fresh_model(SCHEMA, POL, tiny_model().vocab, replace(ENC, layers=layers),
+                        HeadKind.SEP_SENT_ATT, DecoderMode.UNSHARED, 0)
+    mask, onehot = label_arrays(ds.samples, SCHEMA, POL)
+    batch = batch_inputs(prepare_inputs(ds, model), model.vocab)
+    hand_overs, threads = [], set()
+    real_each, real_record = nx.Lanes.each, nx.Tape.record
+    monkeypatch.setattr(nx.Lanes, "each", lambda self, fn, n=None: (
+        hand_overs.append(n), real_each(self, fn, n)))
+    monkeypatch.setattr(nx.Tape, "record", lambda self, *args: (
+        threads.add(threading.get_ident()), real_record(self, *args)))
+    for name in ("matmul", "add", "mul", "scale", "reshape", "transpose", "take", "stack",
+                 "reduce_sum", "gelu", "softmax", "masked_softmax", "clamped_log", "dropout",
+                 "layer_norm", "attention", "sum_squares", "embedding", "transformer_layer"):
+        monkeypatch.setattr(nx, name, lambda *args, fn=getattr(nx, name), **kw: (
+            threads.add(threading.get_ident()), fn(*args, **kw))[1])
+    with nx.Lanes(2) as lanes:
+        tape = nx.Tape(lanes)
+        probs = forward_probs(model, batch, True, np.random.default_rng(0), tape)
+        loss = loss_from_probs(probs, mask, onehot, model, 0.01, tape)
+        tape.backward(loss, model.params())
+    assert len(hand_overs) == 2 * (layers + 1)
+    assert threads == {threading.get_ident()}
+
+
+def test_train_returns_its_best_epoch_when_every_epoch_is_worse_than_its_start():
+    """``train`` weighs only the epochs it ran, never the model it starts
+    from: the stage-2 rule of ``run_incremental``."""
+    ds = tiny_dataset(12)
+    teach = {"positive": "negative", "negative": "positive", "none": "positive"}
+    flipped = replace(ds, samples=tuple(
+        replace(s, labels={k: teach[v] for k, v in s.labels.items()}) for s in ds.samples))
+    init = tiny_model()
+    mask, onehot = label_arrays(ds.samples, SCHEMA, POL)
+
+    def valid_loss(model):
+        return loss_from_probs(NdArray(predict(model, ds)), mask, onehot, model,
+                               0.0, None).item()
+
+    log = []
+    model = train(flipped, ds, init, TrainConfig(learning_rate=1e-2, epochs=3, batch_size=4,
+                                                 patience=3), log)
+    logged = [r["loss"] for r in log if r["split"] == "validation"]
+    assert len(logged) == 3 and min(logged) > valid_loss(init)
+    assert model.provenance["best_epoch"] == int(np.argmin(logged))
+    assert model.provenance["best_valid_loss"] == min(logged) == valid_loss(model)
+    assert not np.array_equal(model.enc_params["tok_emb"].data, init.enc_params["tok_emb"].data)
 
 
 def test_train_does_not_mutate_init():
