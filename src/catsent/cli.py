@@ -33,6 +33,18 @@ from .metrics import check_threshold, compute_report
 from .training import TrainConfig, predict, prepare_inputs
 
 
+WORKFLOWS = ("plain", "mix", "incremental")
+
+
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise ConfigurationError unless ``value`` is a ``kind``: a float field
+    takes an integer too, and a JSON true or false is never a number."""
+    kinds = (int, float) if kind is float else (kind,)
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        noun = {str: "a string", int: "an integer", float: "a number"}[kind]
+        raise ConfigurationError(f"config field {name!r} must be {noun}, got {value!r}")
+
+
 @dataclass
 class ExperimentConfig:
     """One JSON config file drives every command; CLI flags override."""
@@ -53,17 +65,36 @@ class ExperimentConfig:
     stage2: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("schema", "train", "valid", "test", "out"):
+            _check_type(name, getattr(self, name), str)
+        for name, values in (("head", [k.value for k in HeadKind]),
+                             ("decoder", [m.value for m in DecoderMode]),
+                             ("workflow", WORKFLOWS)):
+            if getattr(self, name) not in values:
+                raise ConfigurationError(
+                    f"config field {name!r} must be one of {values}, got {getattr(self, name)!r}")
+        _check_type("rate", self.rate, float)
+        if not isinstance(self.rates, list):
+            raise ConfigurationError(f"config field 'rates' must be a list, got {self.rates!r}")
+        for rate in self.rates:
+            _check_type("rates", rate, float)
+        _check_type("seed", self.seed, int)
+        if self.seed < 0:
+            raise ConfigurationError(f"seed {self.seed} is negative")
         for section, cls in (("encoder", EncoderConfig), ("training", TrainConfig),
                              ("stage2", TrainConfig)):
             values = getattr(self, section)
             if not isinstance(values, dict):
                 raise ConfigurationError(f"config field {section!r} must be an object")
-            unknown = set(values) - set(cls.__dataclass_fields__)
+            fields = cls.__dataclass_fields__
+            unknown = set(values) - set(fields)
             if unknown:
                 raise ConfigurationError(f"unknown {section} fields: {sorted(unknown)}")
             if "seed" in values:
                 raise ConfigurationError(
                     f"{section}.seed: the training seeds derive from the root 'seed'")
+            for key, value in values.items():
+                _check_type(f"{section}.{key}", value, type(fields[key].default))
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -72,7 +103,7 @@ class ExperimentConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigurationError(f"{path}: cannot read config: {exc.strerror}") from exc
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:   # also an over-long integer, not UTF-8
             raise ConfigurationError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: config must be a JSON object")
@@ -221,11 +252,9 @@ def cmd_train(args) -> int:
         model = run_plain_pipeline(corpus, head, mode, cfg.seed, enc, tr, log=log)
     elif cfg.workflow == "mix":
         model = run_mix_pipeline(corpus, head, mode, cfg.rate, cfg.seed, enc, tr, log=log)
-    elif cfg.workflow == "incremental":
+    else:
         stage1, model = run_incremental_pipeline(corpus, head, mode, cfg.rate, cfg.seed,
                                                  enc, tr, cfg.stage2_config(), log=log)
-    else:
-        raise ConfigurationError(f"unknown workflow {cfg.workflow!r}")
     wall = {"train": perf_counter() - t0}
     save_model(model, out / "model.npz")
     if stage1 is not None:
@@ -321,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     t = sub.add_parser("train", help="train (plain | mix | incremental) and evaluate")
     common(t)
-    t.add_argument("--workflow", choices=["plain", "mix", "incremental"], default=None)
+    t.add_argument("--workflow", choices=WORKFLOWS, default=None)
     t.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate a checkpoint")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -210,10 +211,12 @@ class EncoderConfig:
     dropout: float = 0.1
 
     def __post_init__(self):
-        if self.d % self.heads != 0:
-            raise ConfigurationError(f"d={self.d} not divisible by heads={self.heads}")
         if min(self.layers, self.heads, self.d, self.ff, self.max_len) <= 0:
             raise ConfigurationError("all encoder dimensions must be positive")
+        if self.d % self.heads != 0:
+            raise ConfigurationError(f"d={self.d} not divisible by heads={self.heads}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ConfigurationError(f"dropout={self.dropout} outside [0, 1)")
 
 
 # one layer's parameters, in the order ``nx.transformer_layer`` takes them
@@ -249,24 +252,34 @@ def init_encoder_params(config: EncoderConfig, vocab_size: int, n_segments: int,
 
 @dataclass
 class BatchStates:
-    """Encoder output views for a batch (leading axis B on every array)."""
+    """Encoder output views for a batch (leading axis B on every array).
 
-    h_cls: NdArray               # [B, d]
-    H_sent: NdArray              # [B, W, d]
+    A group the encoder was not asked for is None (``encode_batch``'s
+    ``positions``)."""
+
+    h_cls: NdArray | None        # [B, d]
+    H_sent: NdArray | None       # [B, W, d]
     sent_mask: np.ndarray        # [B, W]
-    H_sep: NdArray               # [B, n_cat, d]
-    H_cat: list[NdArray]         # each [B, L_cat_i, d]
+    H_sep: NdArray | None        # [B, n_cat, d]
+    H_cat: list[NdArray] | None  # each [B, L_cat_i, d]
     n_cat: int
 
 
 def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
                  config: EncoderConfig, train_mode: bool = False,
                  rng: np.random.Generator | None = None,
-                 tape: Tape | None = None) -> BatchStates:
+                 tape: Tape | None = None,
+                 positions: Sequence[int] | None = None) -> BatchStates:
     """Run the transformer; slice final states into the four groups.
 
     The embedding block and each layer are one tape entry apiece
-    (``nx.embedding``, ``nx.transformer_layer``).
+    (``nx.embedding``, ``nx.transformer_layer``). ``positions`` (forward
+    only) names the positions whose final states are read: the last
+    layer then runs its query side at those positions alone, keys and values
+    at every position, and a group with a position outside them is None.
+    Every state it returns is bitwise that state of the full forward. A
+    taped forward runs every position, because its weight gradients sum
+    over all of them.
     """
     if batch.token_ids.shape[1] > config.max_len:
         raise ConfigurationError(
@@ -279,16 +292,27 @@ def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
                      [batch.token_ids, batch.position_ids, batch.segment_ids],
                      params["emb_ln_g"], params["emb_ln_b"], drop, rng, tape)
     for l in range(config.layers):
+        last = l == config.layers - 1
         x = nx.transformer_layer(x, [params[f"l{l}.{name}"] for name in LAYER_PARAMS],
-                                 config.heads, batch.mask, drop, rng, tape)
+                                 config.heads, batch.mask, drop, rng, tape,
+                                 positions if last else None)
 
-    B, T, d = x.shape
+    B, T = batch.token_ids.shape
+    d = x.shape[-1]
+    at = np.full(T, -1)                  # each position's row of x, -1 where absent
+    at[np.arange(T) if positions is None else positions] = np.arange(x.shape[1])
+
+    def group(span):
+        rows = at[span]
+        return None if (rows < 0).any() else nx.take(x, rows.tolist(), 1, tape)
+
     W = batch.sent_width
-    h_cls = nx.reshape(nx.take(x, [0], 1, tape), (B, d), tape)
-    H_sent = nx.take(x, list(range(1, 1 + W)), 1, tape)
-    H_sep = nx.take(x, batch.sep_positions, 1, tape)
-    H_cat = [nx.take(x, list(range(a, b)), 1, tape) for a, b in batch.cat_spans]
-    return BatchStates(h_cls, H_sent, batch.sent_mask, H_sep, H_cat, batch.n_cat)
+    h_cls = group([0])
+    H_cat = [group(list(range(a, b))) for a, b in batch.cat_spans]
+    return BatchStates(None if h_cls is None else nx.reshape(h_cls, (B, d), tape),
+                       group(list(range(1, 1 + W))), batch.sent_mask,
+                       group(batch.sep_positions),
+                       None if any(h is None for h in H_cat) else H_cat, batch.n_cat)
 
 
 def encoder_param_names(config: EncoderConfig) -> list[str]:

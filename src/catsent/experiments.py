@@ -14,6 +14,7 @@ from .data import (CategorySchema, Dataset, PolaritySet, SyntheticSpec,
                    make_synthetic, sample_target, split_incremental,
                    concat_datasets)
 from .encoder import EncoderConfig, Vocabulary
+from .errors import ConfigurationError
 from .heads import DecoderMode, HeadKind
 from .metrics import build_prediction_set, extraction_scores
 from .training import (TrainConfig, TrainedModel, fresh_model, predict,
@@ -44,6 +45,10 @@ def synthetic_corpus(count: int = 2000, seed: int = 0,
                      polarities: tuple = ("positive", "negative", "none"),
                      mention_prob: float = 0.5) -> Corpus:
     """Train/valid/test cue-phrase datasets over one source/target schema."""
+    if count < 1:
+        raise ConfigurationError(f"count={count}: a corpus needs at least one sample")
+    if seed < 0:
+        raise ConfigurationError(f"seed {seed} is negative")
     schema = CategorySchema(tuple(source) + tuple(target), tuple(source), tuple(target))
     pol = PolaritySet(tuple(polarities))
     spec = SyntheticSpec(schema, pol, count, mention_prob=mention_prob)

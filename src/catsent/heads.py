@@ -102,6 +102,19 @@ def attend(query: NdArray, keys_values: NdArray, tape: Tape | None = None,
     return nx.reshape(nx.matmul(w_row, keys_values, tape), query.shape, tape)
 
 
+def read_positions(kind: HeadKind, batch) -> list[int]:
+    """The sorted positions of ``batch``'s layout (a ``BatchEncoding``)
+    whose final encoder states the head reads: SEP the separators, CLS_ATT
+    [CLS] and the category tokens, SEP_SENT_ATT the sentence span (pads
+    included), the separators and the category tokens."""
+    cats = [p for a, b in batch.cat_spans for p in range(a, b)]
+    if kind is HeadKind.SEP:
+        return sorted(batch.sep_positions)
+    if kind is HeadKind.CLS_ATT:
+        return sorted([0] + cats)
+    return sorted(list(range(1, 1 + batch.sent_width)) + batch.sep_positions + cats)
+
+
 def head_probs(kind: HeadKind, states, dec: DecoderParams,
                tape: Tape | None = None, dropout_rate: float = 0.0,
                rng=None) -> NdArray:

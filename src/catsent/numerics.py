@@ -258,20 +258,21 @@ def _attention_grad(g: np.ndarray, p: np.ndarray, qh: np.ndarray, kh: np.ndarray
 
 def _attention_lean(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
                     key_mask: np.ndarray, c: float) -> np.ndarray:
-    """Forward-only attention, [B, T, d]: one head's [B, T, T] weights at a
-    time in one reused buffer, the same per-matrix products as
-    ``_attention``."""
-    B, heads, T, dh = qh.shape
+    """Forward-only attention, [B, R, d], of R queries over T keys: one
+    head's [B, R, T] weights at a time in one reused buffer, the same
+    per-matrix products as ``_attention``."""
+    B, heads, R, dh = qh.shape
+    T = kh.shape[2]
     bias = np.where(key_mask > 0, 0.0, -np.inf)[:, None, :]
-    s = np.empty((B, T, T))
-    ctx = np.empty((B, heads, T, dh))
+    s = np.empty((B, R, T))
+    ctx = np.empty((B, heads, R, dh))
     for h in range(heads):
         np.matmul(qh[:, h], kh[:, h].transpose(0, 2, 1), out=s)
         s *= c
         s += bias
         _masked_exp_normalize(s)
         np.matmul(s, vh[:, h], out=ctx[:, h])
-    return ctx.transpose(0, 2, 1, 3).reshape(B, T, heads * dh)
+    return ctx.transpose(0, 2, 1, 3).reshape(B, R, heads * dh)
 
 
 def _merged(gq: np.ndarray, gk: np.ndarray, gv: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -641,7 +642,8 @@ def embedding(tables: Sequence[NdArray], indices: Sequence[np.ndarray],
 def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
                       key_mask: np.ndarray, rate: float,
                       rng: np.random.Generator | None,
-                      tape: Tape | None = None) -> NdArray:
+                      tape: Tape | None = None,
+                      rows: Sequence[int] | None = None) -> NdArray:
     """One post-norm transformer layer over ``x`` [B, T, d] as one tape entry:
 
         a  = dropout(attention(x·wq + bq, x·wk + bk, x·wv + bv) · wo + bo)
@@ -659,6 +661,17 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     the whole batch. Untaped, the layer runs on the calling thread with the
     forward-only kernels (one head's attention weights at a time, gelu and
     layer norm finished in place).
+
+    Untaped, ``rows`` may name the positions whose output is wanted; the
+    result is then ``[B, len(rows), d]``. Keys and values are still made at
+    every position, but the query side (the q projection, the attention
+    rows, ``wo``, both layer norms and the FFN) runs at those positions
+    alone. Each of those blocks works row by row with matrix-matrix
+    products, so each row is that row of the full layer: bitwise wherever
+    the BLAS gives a product's row the same bits whatever the number of
+    rows (with OpenBLAS, when d/heads and ff are 4 or more; narrower
+    products can differ in the last bit). A taped layer always runs every position:
+    its weight gradients sum over all of them.
     """
     (wq, bq, wk, bk, wv, bv, wo, bo,
      g1, b1, w1, c1, w2, c2, g2, b2) = (w.data for w in weights)
@@ -668,19 +681,30 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
     taped = tape is not None
+    if taped and rows is not None:
+        raise ValueError("a layer over some of its rows runs forward only")
     keep1 = rng.random((B, T, d)) if rate > 0.0 else None
     keep2 = rng.random((B, T, d)) if rate > 0.0 else None
-    q, k, v = np.empty((B, T, d)), np.empty((B, T, d)), np.empty((B, T, d))
+    Xq = X                                     # the query side's rows
+    if rows is not None:
+        # numpy multiplies a one-row matrix on its matrix-vector path, whose
+        # sums run in another order: a lone row runs twice
+        run = np.repeat(rows, 2) if len(rows) == 1 else np.asarray(rows)
+        Xq = X[:, run]
+        keep1, keep2 = (None if kp is None else kp[:, run] for kp in (keep1, keep2))
+    R = Xq.shape[1]
+    q, k, v = np.empty((B, R, d)), np.empty((B, T, d)), np.empty((B, T, d))
     qh, kh, vh = _heads(q, heads), _heads(k, heads), _heads(v, heads)
     # untaped, nothing is kept: the blocks after attention reuse q's and k's
     # buffers and finish in place
-    a = np.empty((B, T, d)) if taped else q    # attention block, then x + a, then its xhat
-    y1 = np.empty((B, T, d)) if taped else a
-    h, xx, t = np.empty((B, T, ff)), np.empty((B, T, ff)), np.empty((B, T, ff))
-    hg = np.empty((B, T, ff)) if taped else xx
-    f = np.empty((B, T, d)) if taped else k    # ffn block, then y1 + f, then its xhat
-    out = np.empty((B, T, d)) if taped else f
-    inv1, inv2 = np.empty((B, T, 1)), np.empty((B, T, 1))
+    a = np.empty((B, R, d)) if taped else q    # attention block, then x + a, then its xhat
+    y1 = np.empty((B, R, d)) if taped else a
+    h, xx, t = np.empty((B, R, ff)), np.empty((B, R, ff)), np.empty((B, R, ff))
+    hg = np.empty((B, R, ff)) if taped else xx
+    # ffn block, then y1 + f, then its xhat
+    f = np.empty((B, R, d)) if taped else k.reshape(-1)[:B * R * d].reshape(B, R, d)
+    out = np.empty((B, R, d)) if taped else f
+    inv1, inv2 = np.empty((B, R, 1)), np.empty((B, R, 1))
     if taped:
         bias = _key_bias(key_mask)
         p = np.empty((B, heads, T, T))
@@ -688,8 +712,9 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     live = []
 
     def forward(s):
-        xs = X[s]
-        for w, b, z in ((wq, bq, q), (wk, bk, k), (wv, bv, v)):
+        xs, xq = X[s], Xq[s]
+        _linear(xq, wq, bq, q[s])
+        for w, b, z in ((wk, bk, k), (wv, bv, v)):
             _linear(xs, w, b, z[s])
         if taped:
             live.append(_attention(qh[s], kh[s], vh[s], bias[s], c, p[s], ctx[s]))
@@ -699,7 +724,7 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
         _linear(ctx_s, wo, bo, a[s])
         if keep1 is not None:
             a[s] *= _keep(keep1[s], rate)
-        np.add(xs, a[s], out=a[s])
+        np.add(xq, a[s], out=a[s])
         _layer_norm(a[s], g1, b1, a[s], inv1[s], y1[s], LN_EPS)
         _linear(y1[s], w1, c1, h[s])
         _gelu(h[s], xx[s], t[s], hg[s])
@@ -711,7 +736,7 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
 
     if not taped:
         forward(slice(None))
-        return NdArray(out)
+        return NdArray(out if rows is None else out[:, :len(rows)])
     lanes = tape.lanes
     lanes.split(B, forward)
     dead_mask = None if all(live) else key_mask

@@ -25,7 +25,7 @@ from .encoder import (BatchEncoding, EncodedInput, EncoderConfig, Vocabulary,
                       tokenize)
 from .errors import ConfigurationError, DataError, DivergenceError
 from .heads import (DecoderMode, DecoderParams, HeadKind, head_probs,
-                    init_decoder_params)
+                    init_decoder_params, read_positions)
 from .numerics import NdArray, Tape
 
 
@@ -124,8 +124,11 @@ def label_arrays(samples, schema: CategorySchema,
 
 def forward_probs(model: TrainedModel, batch: BatchEncoding, train_mode: bool,
                   rng: np.random.Generator | None, tape: Tape | None) -> NdArray:
+    """The head's [B, n_cat, s] probabilities. Forward only, the encoder's
+    last layer runs its query side at the positions the head reads alone."""
+    positions = None if tape is not None else read_positions(model.head_kind, batch)
     states = encode_batch(batch, model.enc_params, model.encoder_config,
-                          train_mode, rng, tape)
+                          train_mode, rng, tape, positions)
     drop = model.encoder_config.dropout if train_mode else 0.0
     return head_probs(model.head_kind, states, model.dec, tape, drop, rng)
 
@@ -363,7 +366,11 @@ def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.L
     calling thread) runs batches k, k + n, ... Each batch writes only its
     own rows of the output, so the result does not depend on the lane count
     or on the order in which batches finish. The batches run untaped, so
-    their primitives do not split them further.
+    their primitives do not split them further, and the last encoder layer
+    runs its query side only at the positions the head reads
+    (``forward_probs``), bitwise as the full layer would give them; a taped
+    training step runs every position, since its weight gradients sum over
+    all of them.
     """
     order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))

@@ -295,6 +295,64 @@ def test_cli_unknown_section_key_exits_2(tmp_path, section, key):
                 2, key)
 
 
+def edited_config(cfg_path, edit):
+    """Write ``edit`` into the config file: an object merges into its section."""
+    raw = json.loads(cfg_path.read_text())
+    for key, value in edit.items():
+        if isinstance(value, dict):
+            raw[key].update(value)
+        else:
+            raw[key] = value
+    cfg_path.write_text(json.dumps(raw))
+
+
+@pytest.mark.parametrize("command, edit, flags, needle", [
+    pytest.param("train", {}, ["--seed", "-1"], "seed -1 is negative", id="seed-flag-negative"),
+    pytest.param("train", {"seed": 1.5}, [], "'seed'", id="seed-float"),
+    pytest.param("train", {"seed": "abc"}, [], "'seed'", id="seed-string"),
+    pytest.param("train", {"seed": True}, [], "'seed'", id="seed-true"),
+    pytest.param("train", {"rate": "x"}, ["--workflow", "mix"], "'rate'", id="rate-string"),
+    pytest.param("train", {"head": "bogus"}, [], "'head'", id="head-unknown"),
+    pytest.param("train", {"decoder": 3}, [], "'decoder'", id="decoder-number"),
+    pytest.param("train", {"out": 5}, [], "'out'", id="out-number"),
+    pytest.param("train", {"encoder": {"d": "8"}}, [], "'encoder.d'", id="encoder-d-string"),
+    pytest.param("train", {"encoder": {"layers": 1.5}}, [], "'encoder.layers'",
+                 id="encoder-layers-float"),
+    pytest.param("train", {"training": {"epochs": "2"}}, [], "'training.epochs'",
+                 id="training-epochs-string"),
+    pytest.param("split", {"rates": 5}, [], "'rates'", id="rates-number"),
+    pytest.param("split", {"rates": ["a"]}, [], "'rates'", id="rates-of-strings"),
+])
+def test_cli_rejects_a_config_value_of_the_wrong_type_with_exit_2(tmp_path, command, edit,
+                                                                 flags, needle):
+    _, cfg_path = workspace(tmp_path)
+    edited_config(cfg_path, edit)
+    assert_exit(run_cli(command, "--config", cfg_path, *flags), 2, needle)
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="integer-over-the-digit-limit"),
+    pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+    pytest.param(b'{"out": "\xff"}', id="not-utf-8"),
+])
+def test_cli_config_file_that_does_not_decode_exits_2(tmp_path, data):
+    path = tmp_path / "config.json"
+    path.write_bytes(data)
+    assert_exit(run_cli("split", "--config", path), 2, "invalid JSON")
+
+
+@pytest.mark.parametrize("flag, value, needle", [("--seed", "-1", "seed -1 is negative"),
+                                                 ("--count", "-5", "count=-5"),
+                                                 ("--count", "0", "count=0")],
+                         ids=["seed-negative", "count-negative", "count-zero"])
+def test_cli_generate_rejects_a_negative_seed_or_count_with_exit_2(tmp_path, flag, value,
+                                                                   needle):
+    out = tmp_path / "data"
+    assert_exit(run_cli("generate", flag, value, "--out", out), 2, needle)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field_name", ["train", "schema"])
 def test_cli_missing_data_file_exits_3(tmp_path, field_name):
     _, cfg_path = workspace(tmp_path)
@@ -485,6 +543,29 @@ def test_the_loader_and_the_cli_never_traceback(eval_checkpoint, tmp_path, capsy
         pass
     assert main(["eval", "--checkpoint", str(eval_checkpoint), "--dataset", str(path)]) in (0, 2, 3)
     capsys.readouterr()
+
+
+SECTIONS = {"encoder": EncoderConfig, "training": TrainConfig, "stage2": TrainConfig}
+CONFIG_FILES = st.fixed_dictionaries({}, optional={
+    **{name: JSON_VALUES for name in ExperimentConfig.__dataclass_fields__
+       if name not in SECTIONS},
+    **{name: st.dictionaries(st.sampled_from(sorted(cls.__dataclass_fields__)), JSON_VALUES,
+                             max_size=4) | JSON_VALUES
+       for name, cls in SECTIONS.items()}})
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=CONFIG_FILES)
+def test_a_config_file_of_any_values_raises_only_configuration_errors(tmp_path, raw):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    try:
+        cfg = ExperimentConfig.from_file(path)
+        cfg.encoder_config(), cfg.train_config(), cfg.stage2_config()
+        cfg.head_kind(), cfg.decoder_mode()
+    except ConfigurationError:
+        pass
 
 
 @pytest.mark.parametrize("data, needle", [

@@ -17,6 +17,7 @@ from catsent.encoder import (LAYER_PARAMS, EncoderConfig, Vocabulary, assemble_i
                              encoder_param_names, init_encoder_params,
                              tokenize, word_tokens)
 from catsent.errors import ConfigurationError
+from catsent.heads import HeadKind, read_positions
 from test_numerics import attention_subgraph, embedding_chain, layer_chain
 
 SCHEMA = CategorySchema(("food", "service"))
@@ -124,6 +125,27 @@ def test_pad_invariance(sentences):
         assert np.allclose(bs.H_sep.data[b], single.H_sep.data[0], atol=1e-12, rtol=0)
         for got, want in zip(bs.H_cat, single.H_cat):
             assert np.allclose(got.data[b], want.data[0], atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("kind", list(HeadKind))
+def test_encoding_at_the_head_positions_keeps_the_states_the_head_reads(kind):
+    """Forward only, the last layer runs its query side at the head's read
+    positions alone: the groups inside them keep every bit of the full
+    encoding, and the others are None."""
+    batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
+    assert (batch.mask == 0).any()
+    full = encode_batch(batch, PARAMS, CONFIG)
+    part = encode_batch(batch, PARAMS, CONFIG, positions=read_positions(kind, batch))
+    read = {HeadKind.SEP: {"H_sep"}, HeadKind.CLS_ATT: {"h_cls", "H_cat"},
+            HeadKind.SEP_SENT_ATT: {"H_sent", "H_sep", "H_cat"}}[kind]
+    for name in ("h_cls", "H_sent", "H_sep", "H_cat"):
+        got, want = getattr(part, name), getattr(full, name)
+        if name not in read:
+            assert got is None, name
+        elif name == "H_cat":
+            assert [g.data.tobytes() for g in got] == [w.data.tobytes() for w in want]
+        else:
+            assert got.data.tobytes() == want.data.tobytes(), name
 
 
 def test_encode_deterministic_in_eval_mode():

@@ -2,6 +2,8 @@
 loops, and head outputs are checked for probability structure and for
 shared-decoder weight tying."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from catsent.encoder import BatchStates
 from catsent.errors import (ConfigurationError, DimensionError,
                             EmptySpanError)
 from catsent.heads import (DecoderMode, DecoderParams, HeadKind, attend,
-                           classify, head_probs, init_decoder_params)
+                           classify, head_probs, init_decoder_params, read_positions)
 from catsent.numerics import NdArray
 
 RNG = np.random.default_rng(13)
@@ -196,3 +198,38 @@ def test_head_gradients_reach_decoder():
     tape.backward(loss, [dec.W, dec.b])
     assert np.abs(dec.W.grad[0]).sum() > 0
     assert np.abs(dec.b.grad[0]).sum() > 0
+
+
+# make_states' layout: [CLS] 5 sentence positions [SEP], then category spans of
+# 2, 3 and 4 tokens, each closed by its [SEP]
+LAYOUT = SimpleNamespace(sent_width=5, sep_positions=[9, 13, 18],
+                         cat_spans=[(7, 9), (10, 13), (14, 18)])
+
+
+def test_read_positions_name_the_states_each_head_reads():
+    assert read_positions(HeadKind.SEP, LAYOUT) == [9, 13, 18]
+    assert read_positions(HeadKind.CLS_ATT, LAYOUT) == [0, 7, 8, 10, 11, 12, 14, 15, 16, 17]
+    assert read_positions(HeadKind.SEP_SENT_ATT, LAYOUT) == [
+        p for p in range(19) if p not in (0, 6)]
+
+
+@pytest.mark.parametrize("kind", list(HeadKind))
+def test_a_head_needs_no_state_outside_its_read_positions(kind):
+    """With every state group that has a position outside the head's read
+    positions set to None, the head gives the same probabilities."""
+    states = make_states(5, batch=2)
+    dec = init_decoder_params(DecoderMode.UNSHARED, NCAT, D, S, np.random.default_rng(1))
+    read = set(read_positions(kind, LAYOUT))
+
+    def kept(positions, group):
+        return group if read >= set(positions) else None
+
+    cats = [p for a, b in LAYOUT.cat_spans for p in range(a, b)]
+    partial = BatchStates(kept([0], states.h_cls), kept(range(1, 6), states.H_sent),
+                          states.sent_mask, kept(LAYOUT.sep_positions, states.H_sep),
+                          kept(cats, states.H_cat), NCAT)
+    assert sum(g is None for g in (partial.h_cls, partial.H_sent, partial.H_sep,
+                                   partial.H_cat)) == {HeadKind.SEP: 3, HeadKind.CLS_ATT: 2,
+                                                       HeadKind.SEP_SENT_ATT: 1}[kind]
+    want = head_probs(kind, states, dec).data
+    assert head_probs(kind, partial, dec).data.tobytes() == want.tobytes()

@@ -522,6 +522,30 @@ def test_transformer_layer_equals_the_primitive_chain_on_1_2_and_3_lanes(B, mask
     assert untaped.tobytes() == want[0].tobytes()
 
 
+@pytest.mark.parametrize("rows", [[5], [0, 11], [2, 3, 7], [9, 1, 4, 10], list(range(12))],
+                         ids=["one", "ends", "three", "unsorted", "all"])
+@pytest.mark.parametrize("rate", [0.0, 0.2], ids=["no-dropout", "dropout"])
+@pytest.mark.parametrize("mask_kind", sorted(KEY_MASKS))
+@pytest.mark.parametrize("B", [1, 2, 5])
+def test_a_forward_only_layer_at_some_rows_equals_those_rows_of_the_layer(B, mask_kind,
+                                                                          rate, rows):
+    """Keys and values at every position, the query side at ``rows`` alone:
+    each row keeps every bit of the full layer's, dropout draws included."""
+    T, d, ff, heads = 12, 16, 24, 4
+    rng = np.random.default_rng(B)
+    arrays = layer_arrays(B, T, d, ff, rng)
+    mask = KEY_MASKS[mask_kind](B, T, rng)
+    x, weights = nx.NdArray(arrays[0]), [nx.NdArray(a) for a in arrays[1:]]
+    full = nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4)).data
+    part = nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4),
+                                rows=rows).data
+    assert part.shape == (B, len(rows), d)
+    assert part.tobytes() == full[:, rows].tobytes()
+    with pytest.raises(ValueError):
+        nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4),
+                             nx.Tape(), rows)
+
+
 @pytest.mark.parametrize("rate", [0.0, 0.2], ids=["no-dropout", "dropout"])
 @pytest.mark.parametrize("B", [1, 2, 5])
 def test_embedding_equals_the_primitive_chain_on_1_2_and_3_lanes(B, rate):

@@ -30,10 +30,10 @@ def tiny_dataset(n=8, seed=0):
     return make_synthetic(SyntheticSpec(SCHEMA, POL, n), seed)
 
 
-def tiny_model(mode=DecoderMode.SHARED, seed=0, head=HeadKind.SEP):
+def tiny_model(mode=DecoderMode.SHARED, seed=0, head=HeadKind.SEP, enc=ENC):
     ds = tiny_dataset()
     vocab = Vocabulary.build([s.text for s in ds.samples], SCHEMA)
-    return fresh_model(SCHEMA, POL, vocab, ENC, head, mode, seed)
+    return fresh_model(SCHEMA, POL, vocab, enc, head, mode, seed)
 
 
 def test_config_validation():
@@ -381,9 +381,9 @@ def mixed_length_dataset(n=37, seed=5):
     return replace(base, samples=tuple(samples))
 
 
-def sharp_model(seed=0, head=HeadKind.SEP_SENT_ATT, mode=DecoderMode.UNSHARED):
+def sharp_model(seed=0, head=HeadKind.SEP_SENT_ATT, mode=DecoderMode.UNSHARED, enc=ENC):
     """A model whose outputs are far from uniform, so row mix-ups show."""
-    model = tiny_model(mode, seed, head)
+    model = tiny_model(mode, seed, head, enc)
     rng = np.random.default_rng(seed + 100)
     for p in model.params():
         p.data = rng.normal(0.0, 0.5, size=p.data.shape)
@@ -443,17 +443,55 @@ def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
         prev_widest = widest
 
 
-def sorted_batch_probs(model, ds, batch_size):
+def sorted_batch_probs(model, ds, batch_size, taped=False):
     """Reference eval loop: one thread, batches cut from the inputs stably
-    sorted by kept sentence width."""
+    sorted by kept sentence width; ``taped`` runs each on a tape."""
     inputs = prepare_inputs(ds, model)
     order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), SCHEMA.n_cat, POL.size))
     for i in range(0, len(inputs), batch_size):
         idx = order[i:i + batch_size]
         out[idx] = forward_probs(model, batch_inputs([inputs[j] for j in idx], model.vocab),
-                                 False, None, None).data
+                                 False, None, nx.Tape() if taped else None).data
     return out
+
+
+def eval_batches(inputs):
+    """Index lists of one row, of 7 rows of mixed lengths and of 3 rows of
+    one length."""
+    widths = np.array([e.sent_span[1] - e.sent_span[0] for e in inputs])
+    common = np.bincount(widths).argmax()
+    return {"B=1": [0], "padded-B=7": list(range(7)),
+            "unpadded-B=3": np.flatnonzero(widths == common)[:3].tolist()}
+
+
+@pytest.mark.parametrize("layers", [1, 2])
+@pytest.mark.parametrize("mode", list(DecoderMode))
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_forward_only_probs_keep_every_bit_of_the_taped_forward(head, mode, layers):
+    """Untaped, the last layer runs its query side at the positions the head
+    reads alone; taped, it runs every position. Without dropout both give
+    the same bits."""
+    model = sharp_model(7, head, mode, replace(ENC, layers=layers))
+    inputs = prepare_inputs(mixed_length_dataset(), model)
+    for name, idx in eval_batches(inputs).items():
+        batch = batch_inputs([inputs[i] for i in idx], model.vocab)
+        assert len(idx) == int(name.split("=")[1])
+        assert (batch.mask == 0).any() == name.startswith("padded")
+        lean = forward_probs(model, batch, False, None, None).data
+        taped = forward_probs(model, batch, False, None, nx.Tape()).data
+        assert lean.tobytes() == taped.tobytes(), name
+
+
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_predict_on_1_and_2_lanes_equals_the_taped_loop(monkeypatch, head):
+    ds, model = mixed_length_dataset(), sharp_model(4, head)
+    got = []
+    for cpus in (1, 2):
+        monkeypatch.setattr("catsent.training._available_cpus", lambda: cpus)
+        got.append(predict(model, ds, batch_size=8))
+    assert np.array_equal(got[0], got[1])
+    assert got[0].tobytes() == sorted_batch_probs(model, ds, 8, taped=True).tobytes()
 
 
 @pytest.mark.parametrize("cpus", [None, 3], ids=["this-host", "3-cpus"])
