@@ -95,6 +95,12 @@ class ExperimentConfig:
                     f"{section}.seed: the training seeds derive from the root 'seed'")
             for key, value in values.items():
                 _check_type(f"{section}.{key}", value, type(fields[key].default))
+        for section, build in (("training", self.train_config),
+                               ("stage2", self.stage2_config)):
+            try:                         # the values' own checks, before any run starts
+                build()
+            except ConfigurationError as exc:
+                raise ConfigurationError(f"{section}: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":

@@ -273,13 +273,14 @@ def encode_batch(batch: BatchEncoding, params: dict[str, NdArray],
     """Run the transformer; slice final states into the four groups.
 
     The embedding block and each layer are one tape entry apiece
-    (``nx.embedding``, ``nx.transformer_layer``). ``positions`` (forward
-    only) names the positions whose final states are read: the last
-    layer then runs its query side at those positions alone, keys and values
-    at every position, and a group with a position outside them is None.
-    Every state it returns is bitwise that state of the full forward. A
-    taped forward runs every position, because its weight gradients sum
-    over all of them.
+    (``nx.embedding``, ``nx.transformer_layer``). ``positions`` names the
+    positions whose final states are read: the last layer then runs its
+    query side at those positions alone, forward and backward, keys and
+    values at every position, and a group with a position outside them is
+    None. Every state it returns is bitwise that state of the full forward
+    (with OpenBLAS, when d/heads and ff are 4 or more), and every gradient
+    that of the full forward whose unread states get gradient 0, to
+    rounding (``nx.transformer_layer``).
     """
     if batch.token_ids.shape[1] > config.max_len:
         raise ConfigurationError(

@@ -224,9 +224,9 @@ def _key_bias(key_mask: np.ndarray) -> np.ndarray:
 
 def _attention(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray, bias: np.ndarray,
                c: float, p: np.ndarray, y: np.ndarray) -> bool:
-    """Weights ``p`` [b, h, T, T] and head-split result ``y`` [b, T, h, dh]
-    of head-split projections; returns whether every query row had a live
-    key."""
+    """Weights ``p`` [b, h, R, T] and head-split result ``y`` [b, R, h, dh]
+    of head-split projections, R queries over T keys; returns whether every
+    query row had a live key."""
     np.matmul(qh, kh.transpose(0, 1, 3, 2), out=p)
     p *= c
     p += bias
@@ -239,10 +239,10 @@ def _attention_grad(g: np.ndarray, p: np.ndarray, qh: np.ndarray, kh: np.ndarray
                     vh: np.ndarray, c: float, dead_mask: np.ndarray | None,
                     gq: np.ndarray, gk: np.ndarray, gv: np.ndarray) -> None:
     """``dv = pᵀg``, ``ds = c·p⊙(gvᵀ − rowsum(gvᵀ⊙p))``, ``dq = ds·k`` and
-    ``dk = dsᵀq`` of the result's gradient ``g`` [b, T, d]: dq and dv into
-    [b, T, h, dh] buffers, dk into a [b, h, dh, T] one. ``dead_mask`` (the
-    key mask, given when some query row had no live key) zeroes the masked
-    scores."""
+    ``dk = dsᵀq`` of the result's gradient ``g`` [b, R, d]: dq into a
+    [b, R, h, dh] buffer, dv into a [b, T, h, dh] one, dk into a
+    [b, h, dh, T] one. ``dead_mask`` (the key mask, given when some query
+    row had no live key) zeroes the masked scores."""
     gh = _heads(g, qh.shape[1])
     gv[...] = np.matmul(p.swapaxes(-1, -2), gh).transpose(0, 2, 1, 3)
     ds = np.matmul(gh, vh.swapaxes(-1, -2))     # dL/dp, made dL/dscores in place
@@ -276,11 +276,12 @@ def _attention_lean(qh: np.ndarray, kh: np.ndarray, vh: np.ndarray,
 
 
 def _merged(gq: np.ndarray, gk: np.ndarray, gv: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The [B, T, d] views of the attention kernel's input gradients. dk keeps
-    the [B, h, dh, T] memory order of dsᵀq: the k projection's weight and
-    bias sums run over it in that order."""
-    B, T = gq.shape[:2]
-    return tuple(t.reshape(B, T, -1) for t in (gq, gk.transpose(0, 3, 1, 2), gv))
+    """The [B, R, d] (queries) and [B, T, d] (keys, values) views of the
+    attention kernel's input gradients. dk keeps the [B, h, dh, T] memory
+    order of dsᵀq: the k projection's weight and bias sums run over it in
+    that order."""
+    return tuple(t.reshape(t.shape[0], t.shape[1], -1)
+                 for t in (gq, gk.transpose(0, 3, 1, 2), gv))
 
 
 def _keep(keep: np.ndarray, rate: float) -> np.ndarray:
@@ -662,16 +663,21 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     forward-only kernels (one head's attention weights at a time, gelu and
     layer norm finished in place).
 
-    Untaped, ``rows`` may name the positions whose output is wanted; the
+    ``rows`` (distinct) may name the positions whose output is wanted; the
     result is then ``[B, len(rows), d]``. Keys and values are still made at
     every position, but the query side (the q projection, the attention
-    rows, ``wo``, both layer norms and the FFN) runs at those positions
-    alone. Each of those blocks works row by row with matrix-matrix
-    products, so each row is that row of the full layer: bitwise wherever
-    the BLAS gives a product's row the same bits whatever the number of
-    rows (with OpenBLAS, when d/heads and ff are 4 or more; narrower
-    products can differ in the last bit). A taped layer always runs every position:
-    its weight gradients sum over all of them.
+    rows, ``wo``, both layer norms, the FFN and the dropout factors, sliced
+    from the full draws) runs at those positions alone, forward and
+    backward: the other positions' output gradient would be exactly 0.
+    Into ``x`` the residual and the v projection's gradient are added at
+    those rows, the k projection's at every row, then the q projection's at
+    those rows, as the full layer adds them. Each block works row by row
+    with matrix-matrix products, so each output row is that row of the full
+    layer, and each gradient that of the full layer fed 0 at the other
+    rows: bitwise wherever the BLAS gives a product's row the same bits
+    whatever the number of rows (with OpenBLAS, the forward when d/heads
+    and ff are 4 or more; a transposed-weight product ``g·wᵀ`` of the
+    backward over a few rows can differ in the last bit).
     """
     (wq, bq, wk, bk, wv, bv, wo, bo,
      g1, b1, w1, c1, w2, c2, g2, b2) = (w.data for w in weights)
@@ -681,15 +687,15 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     dh = d // heads
     c = 1.0 / np.sqrt(dh)
     taped = tape is not None
-    if taped and rows is not None:
-        raise ValueError("a layer over some of its rows runs forward only")
     keep1 = rng.random((B, T, d)) if rate > 0.0 else None
     keep2 = rng.random((B, T, d)) if rate > 0.0 else None
-    Xq = X                                     # the query side's rows
+    Xq, at, n = X, slice(None), T              # the query side's rows, where they sit in x
     if rows is not None:
+        at, n = np.asarray(rows, dtype=np.intp), len(rows)
         # numpy multiplies a one-row matrix on its matrix-vector path, whose
-        # sums run in another order: a lone row runs twice
-        run = np.repeat(rows, 2) if len(rows) == 1 else np.asarray(rows)
+        # sums run in another order: a lone row runs twice, and only its
+        # first copy takes gradient
+        run = np.repeat(at, 2) if n == 1 else at
         Xq = X[:, run]
         keep1, keep2 = (None if kp is None else kp[:, run] for kp in (keep1, keep2))
     R = Xq.shape[1]
@@ -707,8 +713,8 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
     inv1, inv2 = np.empty((B, R, 1)), np.empty((B, R, 1))
     if taped:
         bias = _key_bias(key_mask)
-        p = np.empty((B, heads, T, T))
-        ctx = np.empty((B, T, heads, dh))
+        p = np.empty((B, heads, R, T))
+        ctx = np.empty((B, R, heads, dh))
     live = []
 
     def forward(s):
@@ -718,7 +724,7 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
             _linear(xs, w, b, z[s])
         if taped:
             live.append(_attention(qh[s], kh[s], vh[s], bias[s], c, p[s], ctx[s]))
-            ctx_s = ctx[s].reshape(-1, T, d)
+            ctx_s = ctx[s].reshape(-1, R, d)
         else:
             ctx_s = _attention_lean(qh[s], kh[s], vh[s], key_mask[s], c)
         _linear(ctx_s, wo, bo, a[s])
@@ -736,23 +742,27 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
 
     if not taped:
         forward(slice(None))
-        return NdArray(out if rows is None else out[:, :len(rows)])
+        return NdArray(out[:, :n])
     lanes = tape.lanes
     lanes.split(B, forward)
     dead_mask = None if all(live) else key_mask
 
     def backward(g):
-        dx, dr2, dy1, dr1 = (np.empty((B, T, d)) for _ in range(4))    # dx holds d(ctx) first
-        df = dr2 if keep2 is None else np.empty((B, T, d))
-        da = dr1 if keep1 is None else np.empty((B, T, d))
-        dhid = np.empty((B, T, ff))
-        gq, gv = np.empty((B, T, heads, dh)), np.empty((B, T, heads, dh))
+        if R > n:                                  # the lone row's second copy
+            g = np.concatenate([g, np.zeros_like(g)], axis=1)
+        dx = np.empty((B, T, d))
+        dr2, dy1, dr1 = (np.empty((B, R, d)) for _ in range(3))
+        dctx = dx if R == T else np.empty((B, R, d))    # dx is written after d(ctx) is used
+        df = dr2 if keep2 is None else np.empty((B, R, d))
+        da = dr1 if keep1 is None else np.empty((B, R, d))
+        dhid = np.empty((B, R, ff))
+        gq, gv = np.empty((B, R, heads, dh)), np.empty((B, T, heads, dh))
         gk = np.empty((B, heads, dh, T))
         dq, dk, dv = _merged(gq, gk, gv)
         stacks = [np.empty((B,) + w.shape) for w in (wq, wk, wv, wo, w1, w2)]
         sq, sk, sv, so, s1, s2 = stacks
 
-        def rows(s):
+        def rows_of(s):
             dr2[s] = _layer_norm_grad(g[s], g2, f[s], inv2[s])
             if keep2 is not None:
                 np.multiply(dr2[s], keep2[s], out=df[s])
@@ -763,20 +773,21 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
             dr1[s] = _layer_norm_grad(dy1[s], g1, a[s], inv1[s])
             if keep1 is not None:
                 np.multiply(dr1[s], keep1[s], out=da[s])
-            xs, dxs = X[s], dx[s]
-            _linear_grad(da[s], ctx[s].reshape(-1, T, d), wo, dxs, so[s])
-            _attention_grad(dxs, p[s], qh[s], kh[s], vh[s], c,
+            _linear_grad(da[s], ctx[s].reshape(-1, R, d), wo, dctx[s], so[s])
+            _attention_grad(dctx[s], p[s], qh[s], kh[s], vh[s], c,
                             None if dead_mask is None else dead_mask[s],
                             gq[s], gk[s], gv[s])
-            # into x: the residual, then the v, k and q projections, in the
+            # into x: the residual and the v, k and q projections, in the
             # order the tape added the primitive chain's gradients
-            np.add(dr1[s], np.matmul(dv[s], wv.T), out=dxs)
+            dxs = dx[s]
+            np.matmul(dv[s], wv.T, out=dxs)
+            dxs[:, at] += dr1[s][:, :n]
             dxs += np.matmul(dk[s], wk.T)
-            dxs += np.matmul(dq[s], wq.T)
-            for gz, st in ((dq, sq), (dk, sk), (dv, sv)):
-                np.matmul(xs.swapaxes(-1, -2), gz[s], out=st[s])
+            dxs[:, at] += np.matmul(dq[s], wq.T)[:, :n]
+            for xz, gz, st in ((Xq, dq, sq), (X, dk, sk), (X, dv, sv)):
+                np.matmul(xz[s].swapaxes(-1, -2), gz[s], out=st[s])
 
-        lanes.split(B, rows)
+        lanes.split(B, rows_of)
         wg = [_unbroadcast(st, st.shape[1:]) for st in stacks]
         bg = [_unbroadcast(gz, (gz.shape[-1],)) for gz in (dq, dk, dv, da, dhid, df)]
         return (dx, wg[0], bg[0], wg[1], bg[1], wg[2], bg[2], wg[3], bg[3],
@@ -784,7 +795,7 @@ def transformer_layer(x: NdArray, weights: Sequence[NdArray], heads: int,
                 wg[4], bg[4], wg[5], bg[5],
                 (g * f).sum(axis=(0, 1)), g.sum(axis=(0, 1)))
 
-    return _record(tape, NdArray(out), (x, *weights), backward)
+    return _record(tape, NdArray(out[:, :n]), (x, *weights), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from __future__ import annotations
 import copy
 import math
 import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
@@ -23,7 +25,7 @@ from .encoder import (BatchEncoding, EncodedInput, EncoderConfig, Vocabulary,
                       assemble_input, batch_inputs, category_token_ids,
                       encode_batch, encoder_param_names, init_encoder_params,
                       tokenize)
-from .errors import ConfigurationError, DataError, DivergenceError
+from .errors import ConfigurationError, DataError, DivergenceError, NumericDomainError
 from .heads import (DecoderMode, DecoderParams, HeadKind, head_probs,
                     init_decoder_params, read_positions)
 from .numerics import NdArray, Tape
@@ -44,6 +46,13 @@ class TrainConfig:
             raise ConfigurationError(f"warmup_ratio={self.warmup_ratio} outside [0, 1]")
         if min(self.epochs, self.batch_size, self.patience) <= 0:
             raise ConfigurationError("epochs, batch_size and patience must be positive")
+        # chained comparisons also reject NaN, and an integer past the floats
+        if not 0.0 < self.learning_rate <= sys.float_info.max:
+            raise ConfigurationError(
+                f"learning_rate={self.learning_rate} is not a positive finite number")
+        if not 0.0 <= self.l2_lambda <= sys.float_info.max:
+            raise ConfigurationError(
+                f"l2_lambda={self.l2_lambda} is not a non-negative finite number")
 
 
 @dataclass
@@ -124,11 +133,11 @@ def label_arrays(samples, schema: CategorySchema,
 
 def forward_probs(model: TrainedModel, batch: BatchEncoding, train_mode: bool,
                   rng: np.random.Generator | None, tape: Tape | None) -> NdArray:
-    """The head's [B, n_cat, s] probabilities. Forward only, the encoder's
-    last layer runs its query side at the positions the head reads alone."""
-    positions = None if tape is not None else read_positions(model.head_kind, batch)
+    """The head's [B, n_cat, s] probabilities. The encoder's last layer
+    runs its query side at the positions the head reads alone, taped or
+    not."""
     states = encode_batch(batch, model.enc_params, model.encoder_config,
-                          train_mode, rng, tape, positions)
+                          train_mode, rng, tape, read_positions(model.head_kind, batch))
     drop = model.encoder_config.dropout if train_mode else 0.0
     return head_probs(model.head_kind, states, model.dec, tape, drop, rng)
 
@@ -222,6 +231,16 @@ def _valid_loss(model, inputs, mask, onehot, lanes: nx.Lanes) -> float:
     return loss_from_probs(probs, mask, onehot, model, 0.0, None).item()
 
 
+@contextmanager
+def _diverging_at(step: int):
+    """Report a non-finite value met by a forward pass of the model being
+    trained (NaN/Inf reaching a softmax) as divergence at ``step``."""
+    try:
+        yield
+    except NumericDomainError as exc:
+        raise DivergenceError(step, f"non-finite forward pass at step {step}: {exc}") from exc
+
+
 def _labeled(dataset: Dataset) -> Dataset:
     """The samples with at least one label. An absent key means unlabeled,
     so a sample without any adds nothing to the loss (e.g. the target copy
@@ -277,9 +296,10 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
                 t0 = perf_counter()
                 tape = Tape(lanes)
                 batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
-                probs = forward_probs(model, batch, True, drop_rng, tape)
-                loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
-                                       config.l2_lambda, tape, dec_rows)
+                with _diverging_at(step):
+                    probs = forward_probs(model, batch, True, drop_rng, tape)
+                    loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
+                                           config.l2_lambda, tape, dec_rows)
                 if not np.isfinite(loss.item()):
                     raise DivergenceError(step)
                 tape.backward(loss, params)
@@ -297,7 +317,8 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
                     log.append({"step": step, "lr": lr, "loss": loss.item(),
                                 "split": "train", "grad_norm": math.sqrt(grad_sq),
                                 "ms": (perf_counter() - t0) * 1e3})
-            val = _valid_loss(model, va_inputs, va_mask, va_onehot, lanes)
+            with _diverging_at(step):
+                val = _valid_loss(model, va_inputs, va_mask, va_onehot, lanes)
             if log is not None:
                 log.append({"step": step, "lr": None, "loss": val, "split": "validation"})
             if val < best_loss:
@@ -366,11 +387,9 @@ def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.L
     calling thread) runs batches k, k + n, ... Each batch writes only its
     own rows of the output, so the result does not depend on the lane count
     or on the order in which batches finish. The batches run untaped, so
-    their primitives do not split them further, and the last encoder layer
-    runs its query side only at the positions the head reads
-    (``forward_probs``), bitwise as the full layer would give them; a taped
-    training step runs every position, since its weight gradients sum over
-    all of them.
+    their primitives do not split them further. As in a training step, the
+    last encoder layer runs its query side only at the positions the head
+    reads (``forward_probs``), bitwise as the full layer would give them.
     """
     order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))

@@ -331,6 +331,28 @@ def test_cli_rejects_a_config_value_of_the_wrong_type_with_exit_2(tmp_path, comm
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("edit, workflow, code, needle", [
+    pytest.param({"training": {"learning_rate": float("nan")}}, "plain", 2,
+                 "training: learning_rate=nan", id="learning-rate-nan"),
+    pytest.param({"training": {"learning_rate": -1.0}}, "plain", 2,
+                 "training: learning_rate=-1.0", id="learning-rate-negative"),
+    pytest.param({"training": {"learning_rate": 10 ** 400}}, "plain", 2,
+                 "training: learning_rate=1000", id="learning-rate-past-the-floats"),
+    pytest.param({"training": {"l2_lambda": -5.0}}, "plain", 2,
+                 "training: l2_lambda=-5.0", id="l2-lambda-negative"),
+    pytest.param({"stage2": {"learning_rate": -1.0}}, "incremental", 2,
+                 "stage2: learning_rate=-1.0", id="stage2-learning-rate-negative"),
+    pytest.param({"training": {"learning_rate": 1e300}}, "plain", 4,
+                 "divergence: non-finite forward pass", id="learning-rate-diverges"),
+])
+def test_cli_train_rejects_a_bad_learning_rate_and_reports_divergence(tmp_path, edit,
+                                                                      workflow, code, needle):
+    _, cfg_path = workspace(tmp_path)
+    edited_config(cfg_path, edit)
+    assert_exit(run_cli("train", "--config", cfg_path, "--workflow", workflow), code, needle)
+    assert (tmp_path / "run").exists() == (code == 4)
+
+
 @pytest.mark.parametrize("data", [
     pytest.param(b'{"seed": ' + b"1" * 5000 + b"}", id="integer-over-the-digit-limit"),
     pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),

@@ -477,17 +477,19 @@ def layer_arrays(B, T, d, ff, rng):
     return [rng.normal(size=(B, T, d))] + [rng.normal(scale=0.3, size=s) for s in shapes]
 
 
-def op_run(build, arrays, lanes):
+def op_run(build, arrays, lanes, g=None):
     """Output and the gradients of every array of ``build(arrays, tape)`` on
-    a tape with ``lanes`` lanes, fed a fixed output gradient, with the tape
-    entries and the most lanes one hand-over used."""
+    a tape with ``lanes`` lanes, fed the output gradient ``g`` (default a
+    fixed draw), with the tape entries and the most lanes one hand-over
+    used."""
     with CountingLanes(lanes) as ln:
         tape = nx.Tape(ln)
         inputs = [nx.NdArray(a.copy()) for a in arrays]
         out = build(inputs, tape)
         entries = len(tape._entries)
-        g = nx.NdArray(np.random.default_rng(1).normal(size=out.shape))
-        tape.backward(scalar_sum(nx.mul(out, g, tape), tape), inputs)
+        if g is None:
+            g = np.random.default_rng(1).normal(size=out.shape)
+        tape.backward(scalar_sum(nx.mul(out, nx.NdArray(g), tape), tape), inputs)
     return [out.data] + [p.grad for p in inputs], entries, ln.used
 
 
@@ -530,20 +532,38 @@ def test_transformer_layer_equals_the_primitive_chain_on_1_2_and_3_lanes(B, mask
 def test_a_forward_only_layer_at_some_rows_equals_those_rows_of_the_layer(B, mask_kind,
                                                                           rate, rows):
     """Keys and values at every position, the query side at ``rows`` alone:
-    each row keeps every bit of the full layer's, dropout draws included."""
+    each output row keeps every bit of the full layer's, dropout draws
+    included, forward only and taped. Every gradient is the full layer's
+    fed 0 at the other rows, to rounding (a sum over fewer rows, a product
+    over fewer rows), and the same bits on 1, 2 and 3 lanes."""
     T, d, ff, heads = 12, 16, 24, 4
     rng = np.random.default_rng(B)
     arrays = layer_arrays(B, T, d, ff, rng)
     mask = KEY_MASKS[mask_kind](B, T, rng)
+    g = np.random.default_rng(1).normal(size=(B, T, d))
+    g_off = np.zeros_like(g)
+    g_off[:, rows] = g[:, rows]
+
+    def layer(at):
+        def op(p, tape):
+            return nx.transformer_layer(p[0], p[1:], heads, mask, rate,
+                                        np.random.default_rng(4), tape, at)
+        return op
+
+    full, _, _ = op_run(layer(None), arrays, 1, g_off)
     x, weights = nx.NdArray(arrays[0]), [nx.NdArray(a) for a in arrays[1:]]
-    full = nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4)).data
-    part = nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4),
-                                rows=rows).data
-    assert part.shape == (B, len(rows), d)
-    assert part.tobytes() == full[:, rows].tobytes()
-    with pytest.raises(ValueError):
-        nx.transformer_layer(x, weights, heads, mask, rate, np.random.default_rng(4),
-                             nx.Tape(), rows)
+    lean = layer(rows)([x, *weights], None).data
+    assert lean.shape == (B, len(rows), d)
+    assert lean.tobytes() == full[0][:, rows].tobytes()
+    cut = [op_run(layer(rows), arrays, lanes, g[:, rows])[0] for lanes in (1, 2, 3)]
+    assert cut[0][0].tobytes() == full[0][:, rows].tobytes()
+    assert_same_bits(cut[1], cut[0], 2)
+    assert_same_bits(cut[2], cut[0], 3)
+    for i, (got, want) in enumerate(zip(cut[0][1:], full[1:], strict=True)):
+        # .bk's true gradient is 0 (softmax ignores a per-row shift): only
+        # rounding is left in it
+        bound = 1e-14 if i == 4 else 1e-12 * np.abs(want).max()
+        assert np.abs(got - want).max() <= bound, i
 
 
 @pytest.mark.parametrize("rate", [0.0, 0.2], ids=["no-dropout", "dropout"])

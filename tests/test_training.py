@@ -12,9 +12,9 @@ import catsent.training
 
 from catsent.data import (CategorySchema, PolaritySet, Sample, SyntheticSpec,
                           make_dataset, make_synthetic, split_incremental)
-from catsent.encoder import EncoderConfig, Vocabulary, batch_inputs
+from catsent.encoder import EncoderConfig, Vocabulary, batch_inputs, encode_batch
 from catsent.errors import ConfigurationError, DataError, DivergenceError
-from catsent.heads import DecoderMode, HeadKind
+from catsent.heads import DecoderMode, HeadKind, head_probs, read_positions
 from catsent.training import (Adam, TrainConfig, batch_loss, forward_probs,
                               fresh_model, label_arrays, loss_from_probs, lr_at,
                               predict, prepare_inputs, run_incremental, train)
@@ -41,6 +41,12 @@ def test_config_validation():
         TrainConfig(warmup_ratio=1.5)
     with pytest.raises(ConfigurationError):
         TrainConfig(epochs=0)
+    for bad in ({"learning_rate": 0.0}, {"learning_rate": -1.0}, {"learning_rate": np.nan},
+                {"learning_rate": np.inf}, {"learning_rate": 10 ** 400}, {"l2_lambda": -5.0},
+                {"l2_lambda": np.nan}, {"l2_lambda": np.inf}, {"l2_lambda": 10 ** 400}):
+        with pytest.raises(ConfigurationError):
+            TrainConfig(**bad)
+    TrainConfig(l2_lambda=0.0)
 
 
 def test_label_arrays():
@@ -465,22 +471,73 @@ def eval_batches(inputs):
             "unpadded-B=3": np.flatnonzero(widths == common)[:3].tolist()}
 
 
+def full_probs(model, batch, tape):
+    """The head's probabilities, dropout off, over an encoding of every
+    position."""
+    states = encode_batch(batch, model.enc_params, model.encoder_config, tape=tape)
+    return head_probs(model.head_kind, states, model.dec, tape)
+
+
 @pytest.mark.parametrize("layers", [1, 2])
 @pytest.mark.parametrize("mode", list(DecoderMode))
 @pytest.mark.parametrize("head", list(HeadKind))
 def test_forward_only_probs_keep_every_bit_of_the_taped_forward(head, mode, layers):
-    """Untaped, the last layer runs its query side at the positions the head
-    reads alone; taped, it runs every position. Without dropout both give
-    the same bits."""
+    """Taped or not, the last layer runs its query side at the positions the
+    head reads alone. Without dropout both give the bits of an encoding of
+    every position."""
     model = sharp_model(7, head, mode, replace(ENC, layers=layers))
     inputs = prepare_inputs(mixed_length_dataset(), model)
     for name, idx in eval_batches(inputs).items():
         batch = batch_inputs([inputs[i] for i in idx], model.vocab)
         assert len(idx) == int(name.split("=")[1])
         assert (batch.mask == 0).any() == name.startswith("padded")
+        want = full_probs(model, batch, nx.Tape()).data
         lean = forward_probs(model, batch, False, None, None).data
         taped = forward_probs(model, batch, False, None, nx.Tape()).data
-        assert lean.tobytes() == taped.tobytes(), name
+        assert lean.tobytes() == want.tobytes(), name
+        assert taped.tobytes() == want.tobytes(), name
+
+
+def step_grads(model, batch, mask, onehot):
+    """Probabilities and every parameter gradient of one taped training
+    step with dropout."""
+    tape = nx.Tape()
+    probs = forward_probs(model, batch, True, np.random.default_rng(3), tape)
+    loss = loss_from_probs(probs, mask, onehot, model, 0.01, tape)
+    tape.backward(loss, model.params())
+    return probs.data, {name: p.grad for name, p in model.param_items()}
+
+
+@pytest.mark.parametrize("mode", list(DecoderMode))
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_a_training_step_at_the_read_positions_equals_the_full_step(monkeypatch, head, mode):
+    """A step whose last layer runs its query side at the read positions
+    keeps every bit of the probabilities of a step over every position, and
+    its gradients to rounding: a product or a sum over fewer rows."""
+    model = sharp_model(7, head, mode, replace(ENC, layers=2))
+    ds = mixed_length_dataset()
+    idx = list(range(7))
+    batch = batch_inputs([prepare_inputs(ds, model)[i] for i in idx], model.vocab)
+    mask, onehot = label_arrays([ds.samples[i] for i in idx], SCHEMA, POL)
+    widths, real_layer = [], nx.transformer_layer
+
+    def layer(*args, **kw):
+        out = real_layer(*args, **kw)
+        widths.append(out.shape[1])
+        return out
+
+    monkeypatch.setattr(nx, "transformer_layer", layer)
+    cut_probs, cut_grads = step_grads(model, batch, mask, onehot)
+    T = batch.token_ids.shape[1]
+    monkeypatch.setattr("catsent.training.read_positions", lambda kind, b: list(range(T)))
+    all_probs, all_grads = step_grads(model, batch, mask, onehot)
+    assert widths == [T, len(read_positions(head, batch)), T, T]
+    assert cut_probs.tobytes() == all_probs.tobytes()
+    for name, want in all_grads.items():
+        # .bk's true gradient is 0 (softmax ignores a per-row shift): only
+        # rounding is left in it
+        bound = 1e-14 if name.endswith(".bk") else 1e-12 * np.abs(want).max()
+        assert np.abs(cut_grads[name] - want).max() <= bound, name
 
 
 @pytest.mark.parametrize("head", list(HeadKind))
