@@ -278,7 +278,7 @@ def cmd_train(args) -> int:
     report = {"version": 1, "tool_version": __version__, "workflow": cfg.workflow,
               "seed": cfg.seed, "config_fingerprint": cfg.fingerprint(),
               "machine": _machine(),
-              "truncated": {tag: sum(e.dropped > 0 for e in prepare_inputs(ds, model))
+              "truncated": {tag: int((prepare_inputs(ds, model).dropped > 0).sum())
                             for tag, ds in (("train", corpus.train), ("valid", corpus.valid),
                                             ("test", corpus.test))},
               "metrics": metrics, "wall_s": wall}

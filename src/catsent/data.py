@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -107,6 +107,8 @@ class Dataset:
     polarities: PolaritySet
     samples: tuple[Sample, ...]
     split_tag: str = "train"
+    # ((vocabulary, max_len), inputs) of ``training.prepare_inputs``; not kept by ``replace``
+    prepared: list = field(default_factory=list, init=False, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.samples)

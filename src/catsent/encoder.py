@@ -8,15 +8,19 @@ The encoder output is sliced into four state groups: the [CLS] state, the
 sentence states, one separator state per category (the [SEP] closing that
 category's span), and each category's token states.
 
-Batches pad the sentence span to a common width; padded positions are
-excluded from attention and keep the per-sample (unpadded) position ids, so
-a batched forward is numerically identical to per-sample forwards.
+A dataset's inputs are prepared once as arrays (``prepare_texts``): its
+sentences as one padded token matrix, with the schema's category tail
+beside it. Batches are cut from them by indexing (``batch_inputs``) and pad
+the sentence span to a common width; padded positions are excluded from
+attention and keep the per-sample (unpadded) position ids, so a batched
+forward is numerically identical to per-sample forwards.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -77,65 +81,64 @@ def tokenize(text: str, vocab: Vocabulary) -> list[int]:
 
 
 @dataclass(frozen=True)
-class EncodedInput:
-    token_ids: list[int]
-    segment_ids: list[int]
-    attention_mask: list[int]
-    cls_pos: int
-    sent_span: tuple[int, int]           # [start, end) of sentence tokens
-    sep_positions: list[int]             # the [SEP] after each category
-    cat_spans: list[tuple[int, int]]
-    n_cat: int
-    dropped: int                         # sentence tokens cut to fit max_len
+class PreparedInputs:
+    """A dataset's encoder inputs over one schema, as read-only arrays.
 
-
-def category_token_ids(schema: CategorySchema, vocab: Vocabulary) -> list[list[int]]:
-    return [tokenize(cat, vocab) for cat in schema.categories]
-
-
-def assemble_input(sentence_ids: list[int], schema: CategorySchema,
-                   vocab: Vocabulary, max_len: int,
-                   cat_ids: list[list[int]] | None = None) -> EncodedInput:
-    """Build the [CLS] sentence [SEP] cat1 [SEP] ... layout.
-
-    The sentence is right-truncated to fit; category names never are.
-    ``cat_ids`` are ``category_token_ids(schema, vocab)``, passed in when
-    many sentences are assembled over one schema.
+    Only the sentence differs between samples: the tail after it (the
+    sentence's [SEP], then each category's tokens and its [SEP]) is the
+    schema's. Iterating gives one row per sample, in order, whose
+    ``sent_span`` is the [start, end) of its kept sentence.
     """
-    if cat_ids is None:
-        cat_ids = category_token_ids(schema, vocab)
-    fixed = 2 + sum(len(c) + 1 for c in cat_ids)  # CLS + sent-SEP + cats
-    if fixed >= max_len:
-        raise ConfigurationError(
-            f"category names need {fixed} positions, max_len={max_len} leaves no room")
-    sent = list(sentence_ids[: max_len - fixed])
 
-    ids = [vocab.id(CLS)] + sent + [vocab.id(SEP)]
-    segs = [0] * len(ids)
-    sent_span = (1, 1 + len(sent))
-    sep_positions, cat_spans = [], []
-    for i, c in enumerate(cat_ids, start=1):
-        cat_spans.append((len(ids), len(ids) + len(c)))
-        ids.extend(c)
-        ids.append(vocab.id(SEP))
-        sep_positions.append(len(ids) - 1)
-        segs.extend([i] * (len(c) + 1))
-    return EncodedInput(
-        token_ids=ids,
-        segment_ids=segs,
-        attention_mask=[1] * len(ids),
-        cls_pos=0,
-        sent_span=sent_span,
-        sep_positions=sep_positions,
-        cat_spans=cat_spans,
-        n_cat=schema.n_cat,
-        dropped=len(sentence_ids) - len(sent),
-    )
+    tokens: np.ndarray           # [N, W_max] int, kept sentence ids, pad id past each length
+    lengths: np.ndarray          # [N] int, kept sentence tokens
+    dropped: np.ndarray          # [N] int, sentence tokens cut to fit max_len
+    tail_ids: np.ndarray         # [tail] int
+    tail_segments: np.ndarray    # [tail] int: 0 for the sentence's [SEP], i for category i
+    cat_lens: tuple[int, ...]
+    cls_id: int
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        return (SimpleNamespace(sent_span=(1, 1 + n)) for n in self.lengths.tolist())
+
+
+def prepare_texts(texts: Sequence[str], schema: CategorySchema, vocab: Vocabulary,
+                  max_len: int) -> PreparedInputs:
+    """The [CLS] sentence [SEP] cat1 [SEP] ... catN [SEP] layout of each
+    text. The sentence is right-truncated to fit; category names never are.
+    """
+    sep = vocab.id(SEP)
+    tail_ids, tail_segs, cat_lens = [sep], [0], []
+    for i, cat in enumerate(schema.categories, start=1):
+        ids = tokenize(cat, vocab)
+        tail_ids += ids + [sep]
+        tail_segs += [i] * (len(ids) + 1)
+        cat_lens.append(len(ids))
+    room = max_len - 1 - len(tail_ids)
+    if room <= 0:
+        raise ConfigurationError(f"category names need {1 + len(tail_ids)} positions, "
+                                 f"max_len={max_len} leaves no room")
+    sents = [tokenize(t, vocab) for t in texts]
+    full = np.fromiter(map(len, sents), dtype=np.int64, count=len(sents))
+    lengths = np.minimum(full, room)
+    tokens = np.full((len(sents), int(lengths.max(initial=0))), vocab.id(PAD), dtype=np.int64)
+    tokens[np.arange(tokens.shape[1]) < lengths[:, None]] = np.fromiter(
+        (t for s in sents for t in s[:room]), dtype=np.int64)
+    arrays = [tokens, lengths, full - lengths, np.array(tail_ids, dtype=np.int64),
+              np.array(tail_segs, dtype=np.int64)]
+    for a in arrays:
+        a.flags.writeable = False
+    return PreparedInputs(*arrays, tuple(cat_lens), vocab.id(CLS))
 
 
 @dataclass
 class BatchEncoding:
-    """Samples stacked on a shared layout (sentence span padded to a width)."""
+    """Samples stacked on a shared layout: [CLS], the sentence span padded
+    at its end to ``sent_width``, then the category tail at the same
+    positions in every row. Built by ``batch_inputs``."""
 
     token_ids: np.ndarray        # [B, T] int
     position_ids: np.ndarray     # [B, T] int, per-sample unpadded positions
@@ -148,52 +151,40 @@ class BatchEncoding:
     n_cat: int
 
 
-def batch_inputs(inputs: list[EncodedInput], vocab: Vocabulary) -> BatchEncoding:
-    """Stack inputs over one schema; pads go at the end of the sentence span."""
-    n_cat = inputs[0].n_cat
-    cat_lens = [b - a for a, b in inputs[0].cat_spans]
-    width = max(e.sent_span[1] - e.sent_span[0] for e in inputs)
-    tail = 1 + sum(l + 1 for l in cat_lens)  # sent-SEP + category blocks
-    T = 1 + width + tail
-    B = len(inputs)
-    pad_id = vocab.id(PAD)
+def batch_inputs(prepared: PreparedInputs, idx) -> BatchEncoding:
+    """Rows ``idx`` of ``prepared`` on one layout: [CLS], the sentence span
+    padded at its end to the widest kept sentence W, then the tail. Every
+    real token keeps the position id it has without padding; a pad has the
+    pad id, position and segment 0, and mask 0. Array ops only: the token
+    rows are cut from the prepared matrix, and positions, segments and
+    masks are broadcast from the lengths.
+    """
+    L = prepared.lengths[idx]
+    B, W, tail = len(L), int(L.max(initial=0)), len(prepared.tail_ids)
+    T = 1 + W + tail
+    live = np.arange(W) < L[:, None]                 # [B, W] real sentence tokens
 
-    ids = np.full((B, T), pad_id, dtype=np.int64)
+    ids = np.empty((B, T), dtype=np.int64)
+    ids[:, 0] = prepared.cls_id
+    ids[:, 1:1 + W] = prepared.tokens[idx, :W]
+    ids[:, 1 + W:] = prepared.tail_ids
     pos = np.zeros((B, T), dtype=np.int64)
+    pos[:, 1:1 + W] = np.arange(1, 1 + W) * live
+    pos[:, 1 + W:] = (1 + L)[:, None] + np.arange(tail)
     seg = np.zeros((B, T), dtype=np.int64)
-    mask = np.zeros((B, T), dtype=np.float64)
-    sent_mask = np.zeros((B, width), dtype=np.float64)
+    seg[:, 1 + W:] = prepared.tail_segments
+    sent_mask = live.astype(np.float64)
+    mask = np.ones((B, T), dtype=np.float64)
+    mask[:, 1:1 + W] = sent_mask
 
-    # shared tail layout indices
-    tail_start = 1 + width
     sep_positions, cat_spans = [], []
-    cursor = tail_start + 1
-    for lc in cat_lens:
+    cursor = 2 + W                                   # past the sentence's [SEP]
+    for lc in prepared.cat_lens:
         cat_spans.append((cursor, cursor + lc))
-        cursor += lc
-        sep_positions.append(cursor)
-        cursor += 1
-
-    for b, enc in enumerate(inputs):
-        s0, s1 = enc.sent_span
-        L = s1 - s0
-        sent = enc.token_ids[s0:s1]
-        ids[b, 0] = enc.token_ids[enc.cls_pos]
-        ids[b, 1:1 + L] = sent
-        ids[b, tail_start:] = enc.token_ids[s1:]
-        seg[b, tail_start:] = enc.segment_ids[s1:]
-        # unpadded position ids: pads keep position 0, every real token gets
-        # the position it would have without padding
-        pos[b, 0] = 0
-        pos[b, 1:1 + L] = np.arange(1, 1 + L)
-        pos[b, tail_start:] = np.arange(1 + L, 1 + L + tail)
-        mask[b, 0] = 1.0
-        mask[b, 1:1 + L] = 1.0
-        mask[b, tail_start:] = 1.0
-        sent_mask[b, :L] = 1.0
-
-    return BatchEncoding(ids, pos, seg, mask, width, sent_mask,
-                         sep_positions, cat_spans, n_cat)
+        sep_positions.append(cursor + lc)
+        cursor += lc + 1
+    return BatchEncoding(ids, pos, seg, mask, W, sent_mask,
+                         sep_positions, cat_spans, len(prepared.cat_lens))
 
 
 # ---------------------------------------------------------------------------

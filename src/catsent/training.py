@@ -21,11 +21,11 @@ import numpy as np
 
 from . import numerics as nx
 from .data import CategorySchema, Dataset, PolaritySet
-from .encoder import (BatchEncoding, EncodedInput, EncoderConfig, Vocabulary,
-                      assemble_input, batch_inputs, category_token_ids,
-                      encode_batch, encoder_param_names, init_encoder_params,
-                      tokenize)
-from .errors import ConfigurationError, DataError, DivergenceError, NumericDomainError
+from .encoder import (BatchEncoding, EncoderConfig, PreparedInputs, Vocabulary,
+                      batch_inputs, encode_batch, encoder_param_names,
+                      init_encoder_params, prepare_texts)
+from .errors import (ConfigurationError, DataError, DivergenceError, EmptySpanError,
+                     NumericDomainError)
 from .heads import (DecoderMode, DecoderParams, HeadKind, head_probs,
                     init_decoder_params, read_positions)
 from .numerics import NdArray, Tape
@@ -102,17 +102,22 @@ def fresh_model(schema: CategorySchema, polarities: PolaritySet, vocab: Vocabula
 # ---------------------------------------------------------------------------
 
 
-def _assemble(samples, model: TrainedModel) -> list[EncodedInput]:
-    """Encoder inputs of ``samples``, in their order; the category names
-    are tokenized once for all of them."""
-    vocab, max_len = model.vocab, model.encoder_config.max_len
-    cat_ids = category_token_ids(model.schema, vocab)
-    return [assemble_input(tokenize(s.text, vocab), model.schema, vocab, max_len, cat_ids)
-            for s in samples]
-
-
-def prepare_inputs(dataset: Dataset, model: TrainedModel) -> list[EncodedInput]:
-    return _assemble(dataset.samples, model)
+def prepare_inputs(dataset: Dataset, model: TrainedModel) -> PreparedInputs:
+    """``dataset``'s encoder inputs for ``model``. They are built once per
+    dataset and (vocabulary, ``max_len``) and kept in ``dataset.prepared``,
+    so a later call only looks them up. A sep-sent-att head attends over
+    each sentence, so for it a sentence without a token is a data error,
+    whatever batch it would land in."""
+    key = (model.vocab, model.encoder_config.max_len)
+    prepared = next((p for k, p in dataset.prepared if k == key), None)
+    if prepared is None:
+        prepared = prepare_texts([s.text for s in dataset.samples], dataset.schema, *key)
+        dataset.prepared.append((key, prepared))
+    if model.head_kind is HeadKind.SEP_SENT_ATT and 0 in prepared.lengths:
+        sample = dataset.samples[int(prepared.lengths.argmin())]
+        raise EmptySpanError(f"sample {sample.id!r}: sentence span is empty, and the "
+                             f"{model.head_kind.value} head attends over it")
+    return prepared
 
 
 def label_arrays(samples, schema: CategorySchema,
@@ -170,7 +175,8 @@ def batch_loss(samples, model: TrainedModel, config: TrainConfig,
                tape: Tape | None = None) -> NdArray:
     """Eq.-style multi-task loss over one batch of Samples."""
     mask, onehot = label_arrays(samples, model.schema, model.polarities)
-    batch = batch_inputs(_assemble(samples, model), model.vocab)
+    inputs = prepare_inputs(Dataset(model.schema, model.polarities, tuple(samples)), model)
+    batch = batch_inputs(inputs, np.arange(len(samples)))
     probs = forward_probs(model, batch, train_mode, rng, tape)
     return loss_from_probs(probs, mask, onehot, model, config.l2_lambda, tape)
 
@@ -222,7 +228,7 @@ def _epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
     return [order[i:i + batch_size] for i in range(0, n, batch_size)]
 
 
-def _valid_loss(model, inputs, mask, onehot, lanes: nx.Lanes) -> float:
+def _valid_loss(model, inputs: PreparedInputs, mask, onehot, lanes: nx.Lanes) -> float:
     """Masked cross-entropy of the eval-loop probabilities, averaged over
     samples; 0 for an empty set."""
     if not inputs:
@@ -295,7 +301,7 @@ def train(train_ds: Dataset, valid_ds: Dataset, init: TrainedModel,
             for idx in _epoch_batches(n, config.batch_size, rng):
                 t0 = perf_counter()
                 tape = Tape(lanes)
-                batch = batch_inputs([tr_inputs[i] for i in idx], model.vocab)
+                batch = batch_inputs(tr_inputs, idx)
                 with _diverging_at(step):
                     probs = forward_probs(model, batch, True, drop_rng, tape)
                     loss = loss_from_probs(probs, tr_mask[idx], tr_onehot[idx], model,
@@ -376,7 +382,7 @@ def predict(model: TrainedModel, dataset: Dataset, batch_size: int = 64) -> np.n
         return _predict_inputs(model, prepare_inputs(dataset, model), lanes, batch_size)
 
 
-def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.Lanes,
+def _predict_inputs(model: TrainedModel, inputs: PreparedInputs, lanes: nx.Lanes,
                     batch_size: int = 64) -> np.ndarray:
     """The eval loop: [N, n_cat, s] probabilities of prepared inputs, rows
     in input order.
@@ -391,7 +397,7 @@ def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.L
     last encoder layer runs its query side only at the positions the head
     reads (``forward_probs``), bitwise as the full layer would give them.
     """
-    order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
+    order = np.argsort(inputs.lengths, kind="stable")
     out = np.zeros((len(inputs), model.schema.n_cat, model.polarities.size))
     starts = range(0, len(inputs), batch_size)
     n = max(min(lanes.n, len(starts)), 1)
@@ -399,7 +405,7 @@ def _predict_inputs(model: TrainedModel, inputs: list[EncodedInput], lanes: nx.L
     def run(k: int) -> None:
         for i in starts[k::n]:
             idx = order[i:i + batch_size]
-            batch = batch_inputs([inputs[j] for j in idx], model.vocab)
+            batch = batch_inputs(inputs, idx)
             out[idx] = forward_probs(model, batch, False, None, None).data
 
     lanes.each(run, n)

@@ -590,6 +590,19 @@ def test_a_config_file_of_any_values_raises_only_configuration_errors(tmp_path, 
         pass
 
 
+def test_cli_eval_of_a_wordless_sentence_among_others_exits_3(eval_checkpoint, tmp_path):
+    """The sep-sent-att head attends over every sentence: one without a word
+    token exits 3 whatever batch it lands in, not only when its batch holds
+    no word at all."""
+    path = tmp_path / "data.jsonl"
+    texts = ["the food was great", "service awful", "!!", "the service was great"] * 3
+    labels = {"food": "positive", "service": "none"}
+    path.write_text("".join(json.dumps({"id": f"s{i}", "text": t, "labels": labels}) + "\n"
+                            for i, t in enumerate(texts)))
+    assert_exit(run_cli("eval", "--checkpoint", eval_checkpoint, "--dataset", path), 3,
+                "'s2'", "span is empty")
+
+
 @pytest.mark.parametrize("data, needle", [
     pytest.param(b'{"id": "a", "text": "food", "labels": {}}\n\xff\xfe\n', "UTF-8",
                  id="not-utf-8"),

@@ -12,12 +12,12 @@ from hypothesis import strategies as st
 
 import catsent.numerics as nx
 from catsent.data import CategorySchema
-from catsent.encoder import (LAYER_PARAMS, EncoderConfig, Vocabulary, assemble_input,
-                             batch_inputs, encode_batch,
-                             encoder_param_names, init_encoder_params,
-                             tokenize, word_tokens)
+from catsent.encoder import (LAYER_PARAMS, EncoderConfig, Vocabulary, batch_inputs,
+                             encode_batch, encoder_param_names, init_encoder_params,
+                             prepare_texts, tokenize, word_tokens)
 from catsent.errors import ConfigurationError
 from catsent.heads import HeadKind, read_positions
+from input_reference import assemble_input, assert_same_batch, batch_rows
 from test_numerics import attention_subgraph, embedding_chain, layer_chain
 
 SCHEMA = CategorySchema(("food", "service"))
@@ -32,13 +32,14 @@ def make_params(seed=0):
                                np.random.default_rng(seed))
 
 
-def enc_input(text):
-    return assemble_input(tokenize(text, VOCAB), SCHEMA, VOCAB, CONFIG.max_len)
+def batch_of(texts, max_len=CONFIG.max_len):
+    """One batch of ``texts``, in their order."""
+    return batch_inputs(prepare_texts(texts, SCHEMA, VOCAB, max_len), np.arange(len(texts)))
 
 
-def encode_one(enc, params, tape=None):
+def encode_one(text, params, tape=None):
     """The states of a one-sample batch."""
-    return encode_batch(batch_inputs([enc], VOCAB), params, CONFIG, tape=tape)
+    return encode_batch(batch_of([text]), params, CONFIG, tape=tape)
 
 
 def test_word_tokens():
@@ -59,40 +60,49 @@ def test_vocabulary_includes_category_names():
 
 
 def test_assemble_layout():
-    enc = enc_input("the food was great")
-    ids = enc.token_ids
-    assert ids[enc.cls_pos] == VOCAB.id("[CLS]")
-    s0, s1 = enc.sent_span
-    assert ids[s0:s1] == tokenize("the food was great", VOCAB)
+    batch = batch_of(["the food was great"])
+    ids = batch.token_ids[0].tolist()
+    assert ids[0] == VOCAB.id("[CLS]")
+    s1 = 1 + batch.sent_width
+    assert ids[1:s1] == tokenize("the food was great", VOCAB)
     assert ids[s1] == VOCAB.id("[SEP]")
     # one category span + closing SEP per category, in schema order
-    assert len(enc.sep_positions) == 2 and len(enc.cat_spans) == 2
-    for (a, b), sep, cat in zip(enc.cat_spans, enc.sep_positions,
+    assert len(batch.sep_positions) == 2 and len(batch.cat_spans) == 2
+    for (a, b), sep, cat in zip(batch.cat_spans, batch.sep_positions,
                                 SCHEMA.categories):
         assert ids[a:b] == tokenize(cat, VOCAB)
         assert ids[sep] == VOCAB.id("[SEP]")
         assert sep == b
+    assert sep == len(ids) - 1
     # segments: 0 for sentence+CLS+SEP, i for category block i
-    assert enc.segment_ids[:s1 + 1] == [0] * (s1 + 1)
-    for i, ((a, b), sep) in enumerate(zip(enc.cat_spans, enc.sep_positions), 1):
-        assert enc.segment_ids[a:sep + 1] == [i] * (sep + 1 - a)
+    seg = batch.segment_ids[0].tolist()
+    assert seg[:s1 + 1] == [0] * (s1 + 1)
+    for i, ((a, b), sep) in enumerate(zip(batch.cat_spans, batch.sep_positions), 1):
+        assert seg[a:sep + 1] == [i] * (sep + 1 - a)
+    assert batch.position_ids[0].tolist() == list(range(len(ids)))
+    assert batch.mask.all() and batch.sent_mask.all()
 
 
 def test_assemble_truncates_sentence_not_categories():
-    long_text = " ".join(["word"] * 100)
-    enc = assemble_input(tokenize(long_text, VOCAB), SCHEMA, VOCAB, 16)
-    assert len(enc.token_ids) <= 16
-    for (a, b), cat in zip(enc.cat_spans, SCHEMA.categories):
-        assert enc.token_ids[a:b] == tokenize(cat, VOCAB)
+    long_text = " ".join(["food"] * 100)
+    prepared = prepare_texts([long_text, "service"], SCHEMA, VOCAB, 16)
+    kept = 16 - 1 - len(prepared.tail_ids)         # [CLS], then the tail after the sentence
+    assert prepared.lengths.tolist() == [kept, 1]
+    assert prepared.dropped.tolist() == [100 - kept, 0]
+    assert [row.sent_span for row in prepared] == [(1, 1 + kept), (1, 2)]
+    batch = batch_inputs(prepared, [0, 1])
+    assert batch.token_ids.shape == (2, 16)
+    for (a, b), cat in zip(batch.cat_spans, SCHEMA.categories):
+        assert batch.token_ids[:, a:b].tolist() == [tokenize(cat, VOCAB)] * 2
 
 
 def test_assemble_rejects_impossible_budget():
     with pytest.raises(ConfigurationError):
-        assemble_input([1, 2], SCHEMA, VOCAB, 6)
+        prepare_texts(["food service"], SCHEMA, VOCAB, 6)
 
 
 def test_batch_layout_and_masks():
-    batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
+    batch = batch_of(TEXTS)
     widths = [len(tokenize(t, VOCAB)) for t in TEXTS]
     assert batch.sent_width == max(widths)
     for b, w in enumerate(widths):
@@ -114,11 +124,12 @@ WORDS = sorted(VOCAB.token_to_id)[4:] + ["zebra"]      # no special tokens; one 
 def test_pad_invariance(sentences):
     """Each row of a batch of random-length sentences has exactly the states
     of that sample's one-sample batch, padding notwithstanding."""
-    inputs = [enc_input(" ".join(words)) for words in sentences]
-    bs = encode_batch(batch_inputs(inputs, VOCAB), PARAMS, CONFIG)
-    for b, enc in enumerate(inputs):
-        single = encode_one(enc, PARAMS)
-        L = enc.sent_span[1] - enc.sent_span[0]
+    texts = [" ".join(words) for words in sentences]
+    prepared = prepare_texts(texts, SCHEMA, VOCAB, CONFIG.max_len)
+    bs = encode_batch(batch_inputs(prepared, np.arange(len(texts))), PARAMS, CONFIG)
+    for b, (text, row) in enumerate(zip(texts, prepared)):
+        single = encode_one(text, PARAMS)
+        L = row.sent_span[1] - row.sent_span[0]
         assert np.allclose(bs.h_cls.data[b], single.h_cls.data[0], atol=1e-12, rtol=0)
         assert np.allclose(bs.H_sent.data[b, :L], single.H_sent.data[0],
                            atol=1e-12, rtol=0)
@@ -127,12 +138,30 @@ def test_pad_invariance(sentences):
             assert np.allclose(got.data[b], want.data[0], atol=1e-12, rtol=0)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.lists(st.sampled_from(WORDS + ["!!"]), max_size=40), min_size=1,
+                max_size=9), st.data())
+def test_batch_inputs_equals_the_row_loop(sentences, data):
+    """Any rows of any texts, empty and truncated sentences included, give
+    the row loop's batch array for array, dtype included."""
+    texts = [" ".join(words) for words in sentences]
+    idx = data.draw(st.lists(st.integers(0, len(texts) - 1), min_size=1, max_size=9))
+    prepared = prepare_texts(texts, SCHEMA, VOCAB, CONFIG.max_len)
+    want = batch_rows([assemble_input(texts[i], SCHEMA, VOCAB, CONFIG.max_len) for i in idx],
+                      VOCAB)
+    assert_same_batch(batch_inputs(prepared, idx), want)
+    assert_same_batch(batch_inputs(prepared, np.array(idx)), want)
+    rows = [assemble_input(t, SCHEMA, VOCAB, CONFIG.max_len) for t in texts]
+    assert [r.sent_span for r in prepared] == [r.sent_span for r in rows]
+    assert prepared.dropped.tolist() == [r.dropped for r in rows]
+
+
 @pytest.mark.parametrize("kind", list(HeadKind))
 def test_encoding_at_the_head_positions_keeps_the_states_the_head_reads(kind):
     """Forward only, the last layer runs its query side at the head's read
     positions alone: the groups inside them keep every bit of the full
     encoding, and the others are None."""
-    batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
+    batch = batch_of(TEXTS)
     assert (batch.mask == 0).any()
     full = encode_batch(batch, PARAMS, CONFIG)
     part = encode_batch(batch, PARAMS, CONFIG, positions=read_positions(kind, batch))
@@ -150,14 +179,14 @@ def test_encoding_at_the_head_positions_keeps_the_states_the_head_reads(kind):
 
 def test_encode_deterministic_in_eval_mode():
     params = make_params()
-    a = encode_one(enc_input(TEXTS[0]), params)
-    b = encode_one(enc_input(TEXTS[0]), params)
+    a = encode_one(TEXTS[0], params)
+    b = encode_one(TEXTS[0], params)
     assert np.array_equal(a.h_cls.data, b.h_cls.data)
 
 
 def test_train_mode_requires_rng():
     params = make_params()
-    batch = batch_inputs([enc_input(TEXTS[0])], VOCAB)
+    batch = batch_of([TEXTS[0]])
     with pytest.raises(ConfigurationError):
         encode_batch(batch, params, CONFIG, train_mode=True)
 
@@ -165,7 +194,7 @@ def test_train_mode_requires_rng():
 def test_sequence_length_guard():
     params = make_params()
     tiny = EncoderConfig(layers=1, heads=2, d=8, ff=16, max_len=8, dropout=0.0)
-    batch = batch_inputs([enc_input(TEXTS[2])], VOCAB)
+    batch = batch_of([TEXTS[2]])
     with pytest.raises(ConfigurationError):
         encode_batch(batch, params, tiny)
 
@@ -185,13 +214,13 @@ def test_param_names_cover_init():
 def test_encoder_gradients_flow_to_embeddings():
     params = make_params()
     tape = nx.Tape()
-    states = encode_one(enc_input(TEXTS[0]), params, tape)
+    states = encode_one(TEXTS[0], params, tape)
     loss = nx.reduce_sum(states.h_cls, tape=tape)
     plist = list(params.values())
     tape.backward(loss, plist)
     assert any(np.abs(p.grad).sum() > 0 for p in plist)
     # only embedding rows of used tokens receive gradient
-    used = set(enc_input(TEXTS[0]).token_ids)
+    used = set(batch_of([TEXTS[0]]).token_ids.ravel().tolist())
     rows = np.abs(params["tok_emb"].grad).sum(axis=1)
     for tok_id in range(len(VOCAB)):
         if tok_id not in used:
@@ -222,7 +251,7 @@ def test_fused_attention_matches_the_subgraph_in_every_parameter_gradient():
     config = EncoderConfig(layers=2, heads=4, d=32, ff=64, max_len=32, dropout=0.0)
     params = init_encoder_params(config, len(VOCAB), SCHEMA.n_cat + 1,
                                  np.random.default_rng(3))
-    batch = batch_inputs([enc_input(t) for t in TEXTS], VOCAB)
+    batch = batch_of(TEXTS)
     assert (batch.mask == 0).any()        # padded keys are exercised
 
     def run(states_of, n_lanes):

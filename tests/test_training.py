@@ -13,13 +13,14 @@ import catsent.training
 from catsent.data import (CategorySchema, PolaritySet, Sample, SyntheticSpec,
                           make_dataset, make_synthetic, split_incremental)
 from catsent.encoder import EncoderConfig, Vocabulary, batch_inputs, encode_batch
-from catsent.errors import ConfigurationError, DataError, DivergenceError
+from catsent.errors import ConfigurationError, DataError, DivergenceError, EmptySpanError
 from catsent.heads import DecoderMode, HeadKind, head_probs, read_positions
 from catsent.training import (Adam, TrainConfig, batch_loss, forward_probs,
                               fresh_model, label_arrays, loss_from_probs, lr_at,
                               predict, prepare_inputs, run_incremental, train)
 import catsent.numerics as nx
 from catsent.numerics import NdArray
+from input_reference import assemble_input, assert_same_batch, batch_rows, reference_batch
 
 POL = PolaritySet(("positive", "negative", "none"))
 SCHEMA = CategorySchema(("food", "service"), ("food",), ("service",))
@@ -150,7 +151,7 @@ def test_l2_penalty_is_one_tape_entry_equal_to_the_per_array_chain(monkeypatch, 
                                                                    dec_rows):
     ds = tiny_dataset(6)
     mask, onehot = label_arrays(ds.samples, SCHEMA, POL)
-    batch = batch_inputs(prepare_inputs(ds, tiny_model()), tiny_model().vocab)
+    batch = batch_inputs(prepare_inputs(ds, tiny_model()), np.arange(len(ds)))
     rows = None if dec_rows is None else np.array(dec_rows)
     runs = []
     for sum_squares in (nx.sum_squares, sum_squares_chain):
@@ -260,7 +261,7 @@ def test_a_2_lane_training_step_hands_over_twice_per_layer_op(monkeypatch):
     model = fresh_model(SCHEMA, POL, tiny_model().vocab, replace(ENC, layers=layers),
                         HeadKind.SEP_SENT_ATT, DecoderMode.UNSHARED, 0)
     mask, onehot = label_arrays(ds.samples, SCHEMA, POL)
-    batch = batch_inputs(prepare_inputs(ds, model), model.vocab)
+    batch = batch_inputs(prepare_inputs(ds, model), np.arange(len(ds)))
     hand_overs, threads = [], set()
     real_each, real_record = nx.Lanes.each, nx.Tape.record
     monkeypatch.setattr(nx.Lanes, "each", lambda self, fn, n=None: (
@@ -400,7 +401,7 @@ def input_order_probs(model, ds, batch_size):
     """Reference eval loop: batches cut in input order, no sorting."""
     inputs = prepare_inputs(ds, model)
     return np.concatenate([
-        forward_probs(model, batch_inputs(inputs[i:i + batch_size], model.vocab),
+        forward_probs(model, batch_inputs(inputs, np.arange(i, min(i + batch_size, len(ds)))),
                       False, None, None).data
         for i in range(0, len(inputs), batch_size)])
 
@@ -429,8 +430,8 @@ def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
     ds, model = mixed_length_dataset(), sharp_model()
     seen = []
 
-    def recording_batch_inputs(inputs, vocab):
-        batch = batch_inputs(inputs, vocab)
+    def recording_batch_inputs(inputs, idx):
+        batch = batch_inputs(inputs, idx)
         seen.append(batch)
         return batch
 
@@ -450,14 +451,16 @@ def test_predict_batches_are_sorted_and_pad_only_shorter_rows(monkeypatch):
 
 
 def sorted_batch_probs(model, ds, batch_size, taped=False):
-    """Reference eval loop: one thread, batches cut from the inputs stably
-    sorted by kept sentence width; ``taped`` runs each on a tape."""
-    inputs = prepare_inputs(ds, model)
-    order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in inputs], kind="stable")
-    out = np.zeros((len(inputs), SCHEMA.n_cat, POL.size))
-    for i in range(0, len(inputs), batch_size):
+    """Reference eval loop: one thread, batches built by the row loop of
+    ``input_reference`` and cut from the samples stably sorted by kept
+    sentence width; ``taped`` runs each on a tape."""
+    rows = [assemble_input(s.text, model.schema, model.vocab, model.encoder_config.max_len)
+            for s in ds.samples]
+    order = np.argsort([e.sent_span[1] - e.sent_span[0] for e in rows], kind="stable")
+    out = np.zeros((len(rows), model.schema.n_cat, model.polarities.size))
+    for i in range(0, len(rows), batch_size):
         idx = order[i:i + batch_size]
-        out[idx] = forward_probs(model, batch_inputs([inputs[j] for j in idx], model.vocab),
+        out[idx] = forward_probs(model, batch_rows([rows[j] for j in idx], model.vocab),
                                  False, None, nx.Tape() if taped else None).data
     return out
 
@@ -465,7 +468,7 @@ def sorted_batch_probs(model, ds, batch_size, taped=False):
 def eval_batches(inputs):
     """Index lists of one row, of 7 rows of mixed lengths and of 3 rows of
     one length."""
-    widths = np.array([e.sent_span[1] - e.sent_span[0] for e in inputs])
+    widths = inputs.lengths
     common = np.bincount(widths).argmax()
     return {"B=1": [0], "padded-B=7": list(range(7)),
             "unpadded-B=3": np.flatnonzero(widths == common)[:3].tolist()}
@@ -488,7 +491,7 @@ def test_forward_only_probs_keep_every_bit_of_the_taped_forward(head, mode, laye
     model = sharp_model(7, head, mode, replace(ENC, layers=layers))
     inputs = prepare_inputs(mixed_length_dataset(), model)
     for name, idx in eval_batches(inputs).items():
-        batch = batch_inputs([inputs[i] for i in idx], model.vocab)
+        batch = batch_inputs(inputs, idx)
         assert len(idx) == int(name.split("=")[1])
         assert (batch.mask == 0).any() == name.startswith("padded")
         want = full_probs(model, batch, nx.Tape()).data
@@ -517,7 +520,7 @@ def test_a_training_step_at_the_read_positions_equals_the_full_step(monkeypatch,
     model = sharp_model(7, head, mode, replace(ENC, layers=2))
     ds = mixed_length_dataset()
     idx = list(range(7))
-    batch = batch_inputs([prepare_inputs(ds, model)[i] for i in idx], model.vocab)
+    batch = batch_inputs(prepare_inputs(ds, model), idx)
     mask, onehot = label_arrays([ds.samples[i] for i in idx], SCHEMA, POL)
     widths, real_layer = [], nx.transformer_layer
 
@@ -672,3 +675,105 @@ def test_nonfinite_gradient_raises_before_the_update(monkeypatch):
               TrainConfig(learning_rate=1e-3, epochs=1, batch_size=16), log)
     assert info.value.step == 0 and log == []
     assert threading.active_count() == before            # the step pool ended too
+
+
+def edge_dataset():
+    """The mixed-length set with sentences that ``ENC.max_len`` truncates
+    and sentences without a token, spread through it."""
+    base = mixed_length_dataset()
+    samples = list(base.samples)
+    for i, text in ((3, " ".join(["food great"] * 20)), (11, "!! ??"), (17, ""),
+                    (20, "service awful " * 15), (30, "...")):
+        samples.insert(i, Sample(f"edge-{i}", text, {"food": "none"}))
+    return make_dataset(samples, SCHEMA, POL)
+
+
+def test_training_and_eval_batches_equal_the_row_loop_bitwise(monkeypatch):
+    """Every batch that ``train`` and ``predict`` build, on random training
+    batches (the last one short), the sorted eval batches and one-row
+    batches, equals the row loop's batch array for array, dtype included."""
+    ds, model = edge_dataset(), sharp_model(3, HeadKind.CLS_ATT, DecoderMode.SHARED)
+    prepared = prepare_inputs(ds, model)
+    assert (prepared.dropped > 0).sum() == 2 and (prepared.lengths == 0).sum() == 3
+    seen = []
+
+    def recording_batch_inputs(inputs, idx):
+        batch = batch_inputs(inputs, idx)
+        seen.append((np.array(idx), batch))
+        return batch
+
+    monkeypatch.setattr("catsent.training.batch_inputs", recording_batch_inputs)
+    train(ds, ds, model, TrainConfig(learning_rate=1e-3, epochs=2, batch_size=8))
+    n_train = len(seen)                     # per epoch, 6 steps and one validation batch
+    predict(model, ds, batch_size=8)
+    predict(model, ds, batch_size=1)
+    assert len(ds) == 42 and n_train == 2 * 7 and len(seen) == n_train + 6 + len(ds)
+    assert {len(idx) for idx, _ in seen} == {1, 2, 8, 42}
+    for idx, batch in seen:
+        assert_same_batch(batch, reference_batch(ds.samples, model, idx))
+
+
+@pytest.mark.parametrize("head", [HeadKind.SEP, HeadKind.CLS_ATT])
+def test_predict_keeps_the_row_loop_bits_with_truncated_and_empty_sentences(head):
+    ds, model = edge_dataset(), sharp_model(5, head)
+    assert np.array_equal(predict(model, ds, batch_size=8), sorted_batch_probs(model, ds, 8))
+
+
+@pytest.mark.parametrize("head", list(HeadKind))
+def test_predict_on_an_empty_dataset_returns_no_rows(head):
+    empty = replace(tiny_dataset(), samples=())
+    assert predict(sharp_model(0, head), empty).shape == (0, SCHEMA.n_cat, POL.size)
+
+
+def test_prepared_inputs_are_cached_per_vocabulary_and_max_len():
+    """Three models on one dataset, two vocabularies and two max_len
+    values: each gets the probabilities of a dataset copy with an empty
+    cache, and a second call only looks its inputs up."""
+    ds = mixed_length_dataset()
+    other_vocab = Vocabulary.build(["zebra food place"] + [s.text for s in ds.samples], SCHEMA)
+    short = replace(ENC, max_len=20)                  # truncates the longest sentences
+    models = [sharp_model(1), sharp_model(1, enc=short)]
+    models.append(fresh_model(SCHEMA, POL, other_vocab, ENC, HeadKind.SEP_SENT_ATT,
+                              DecoderMode.UNSHARED, 1))
+    assert models[2].vocab.id("food") != models[0].vocab.id("food")
+    got = [predict(m, ds, batch_size=8) for m in models]
+    assert len(ds.prepared) == 3
+    assert (prepare_inputs(ds, models[1]).dropped > 0).any()
+    assert not (prepare_inputs(ds, models[0]).dropped > 0).any()
+    for m, probs in zip(models, got):
+        assert prepare_inputs(ds, m) is prepare_inputs(ds, m.clone())
+        assert np.array_equal(probs, predict(m, replace(ds), batch_size=8))
+        assert np.array_equal(probs, sorted_batch_probs(m, ds, 8))
+    assert len(ds.prepared) == 3
+
+
+def test_a_replaced_dataset_starts_with_an_empty_cache_of_read_only_arrays():
+    ds, model = mixed_length_dataset(), sharp_model()
+    prepared = prepare_inputs(ds, model)
+    assert len(ds.prepared) == 1 and replace(ds).prepared == []
+    assert replace(ds) == ds                          # the cache is not compared
+    for name in ("tokens", "lengths", "dropped", "tail_ids", "tail_segments"):
+        array = getattr(prepared, name)
+        assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            array[...] = 0
+
+
+@pytest.mark.parametrize("others", [9, 20])
+def test_a_sep_sent_att_sentence_without_a_token_is_rejected_in_any_batch(others):
+    """Whatever batch it would share, a sentence without a token stops a
+    sep-sent-att model before any forward pass, naming the sample."""
+    base = mixed_length_dataset()
+    samples = list(base.samples[:others])
+    samples.insert(others // 2, Sample("wordless", "!!! ???", {"food": "none"}))
+    ds = make_dataset(samples, SCHEMA, POL)
+    model = sharp_model(2)
+    for run in (lambda: predict(model, ds),
+                lambda: predict(model, ds, batch_size=1),
+                lambda: train(ds, base, model, TrainConfig(epochs=1)),
+                lambda: train(base, ds, model, TrainConfig(epochs=1)),
+                lambda: batch_loss(samples, model, TrainConfig())):
+        with pytest.raises(EmptySpanError, match="'wordless'.*span is empty"):
+            run()
+    for head in (HeadKind.SEP, HeadKind.CLS_ATT):
+        assert np.isfinite(predict(sharp_model(2, head), ds)).all()
